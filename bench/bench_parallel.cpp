@@ -1,16 +1,20 @@
 // Parallel-exploration throughput: states/second and visited-store
 // bytes/state of the exact engines across a thread sweep, plus the seeded
-// bitstate swarm, on the optimized v1 bridge, and a bounded sweep on the
+// bitstate swarm, on the optimized v1 bridge and on the relay_mesh model
+// (examples/models/relay_mesh.pml), and a bounded sweep on the
 // polling-heavy v2 bridge (paper Fig. 14). Doubles as an end-to-end
 // determinism check: every complete exact run must store exactly the same
 // number of states.
 //
 //   bench_parallel [--quick] [--json]
 //
-// --quick shrinks the instance for CI smoke runs; --json emits the rows as
-// a JSON array ({bench, threads, states, states_per_sec, bytes_per_state,
-// wall_seconds}) consumed by scripts/bench.sh (which gates bytes_per_state
-// against the committed baseline) and uploaded as the CI bench artifact.
+// --quick shrinks the instances for CI smoke runs; --json emits the rows as
+// a JSON array ({bench, threads, hw_threads, states, states_per_sec,
+// bytes_per_state, wall_seconds}) consumed by scripts/bench.sh (which gates
+// bytes_per_state against the committed baseline, and the relay_exact
+// 4-thread vs 1-thread speedup on machines with 4 or more hardware
+// threads) and uploaded as the CI bench artifact. hw_threads, the
+// machine's hardware thread count, is in every row.
 // The serve_rtt row measures the warm-cache round-trip latency of an
 // in-process pnpd (scripts/bench.sh gates its warm_hit_rate).
 #include <algorithm>
@@ -18,13 +22,16 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bridge/bridge.h"
 #include "common.h"
 #include "explore/explorer.h"
 #include "obs/obs.h"
+#include "pml/parser.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -85,6 +92,50 @@ architecture demo {
 }
 )";
 
+/// examples/models/relay_mesh.pml with `n` messages per pipeline (the file
+/// has n = 5: 1,188,100 states), inlined like kServeArch.
+std::string relay_text(int n) {
+  // One pipeline: $P names its processes, $c its channels, $N the count.
+  constexpr std::string_view kPipeline = R"(
+active proctype Source$P() {
+  byte i = 0;
+  do
+  :: i < $N -> $c1!i; i++
+  :: i >= $N -> break
+  od
+}
+active proctype Relay$P() {
+  byte v;
+  end: do
+  :: $c1?v -> $c2!v
+  od
+}
+active proctype Sink$P() {
+  byte v;
+  byte expect = 0;
+  do
+  :: expect < $N -> $c2?v; assert(v == expect); expect++; tally++
+  :: expect >= $N -> break
+  od
+}
+)";
+  std::string text =
+      "chan a1 = [3] of { byte };\nchan a2 = [3] of { byte };\n"
+      "chan b1 = [3] of { byte };\nchan b2 = [3] of { byte };\n"
+      "byte tally;\n";
+  for (const auto& [proc, chan] : {std::pair{"A", "a"}, std::pair{"B", "b"}}) {
+    for (std::size_t i = 0; i < kPipeline.size(); ++i) {
+      if (kPipeline[i] != '$') {
+        text += kPipeline[i];
+        continue;
+      }
+      const char var = kPipeline[++i];
+      text += var == 'P' ? proc : var == 'c' ? chan : std::to_string(n);
+    }
+  }
+  return text;
+}
+
 explore::Result run(const kernel::Machine& m, expr::Ref inv, int threads,
                     bool bitstate, std::uint64_t max_states = 0) {
   explore::Options opt;
@@ -125,6 +176,10 @@ int main(int argc, char** argv) {
   std::vector<int> sweep{1};
   if (hw >= 2) sweep.push_back(2);
   if (hw > 2) sweep.push_back(hw);
+  // relay_exact also runs at 4 threads when there are more, for the
+  // 4-vs-1 speedup gate in scripts/bench.sh
+  std::vector<int> relay_sweep = sweep;
+  if (hw > 4) relay_sweep.insert(relay_sweep.end() - 1, 4);
 
   std::vector<Row> rows;
   bool ok = true;
@@ -147,6 +202,30 @@ int main(int argc, char** argv) {
     else ok = ok && r.stats.states_stored == seq_states;
     rows.push_back({"bridge_exact", t, r.stats.states_stored,
                     r.stats.store_bytes, r.stats.seconds});
+  }
+  // relay_mesh: the benchmark's whole-model search, where every step moves
+  // a message through a buffered channel. Same timing policy as above.
+  {
+    const int n = quick ? 3 : 5;
+    model::SystemSpec sys = pml::parse(relay_text(n));
+    const expr::Ref relay_inv =
+        pml::parse_global_expr(sys, "tally <= " + std::to_string(2 * n));
+    const kernel::Machine rm(sys);
+    std::uint64_t relay_states = 0;
+    for (const int t : relay_sweep) {
+      explore::Result r;
+      for (int rep = 0; rep < timing_reps; ++rep) {
+        explore::Result attempt = run(rm, relay_inv, t, false);
+        ok = ok && attempt.ok() && attempt.stats.complete;
+        if (rep == 0 || attempt.stats.seconds < r.stats.seconds)
+          r = std::move(attempt);
+      }
+      if (t == 1) relay_states = r.stats.states_stored;
+      else ok = ok && r.stats.states_stored == relay_states;
+      rows.push_back({"relay_exact", t, r.stats.states_stored,
+                      r.stats.store_bytes, r.stats.seconds});
+    }
+    if (!quick) ok = ok && relay_states == 1'188'100;
   }
   {
     const int t = quick ? 2 : std::min(hw, 4);
@@ -357,33 +436,37 @@ int main(int argc, char** argv) {
     std::printf("[\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];
-      std::printf("  {\"bench\": \"%s\", \"threads\": %d, \"states\": %llu, "
+      std::printf("  {\"bench\": \"%s\", \"threads\": %d, "
+                  "\"hw_threads\": %d, \"states\": %llu, "
                   "\"states_per_sec\": %.1f, \"bytes_per_state\": %.1f, "
                   "\"wall_seconds\": %.6f}%s\n",
-                  r.bench.c_str(), r.threads,
+                  r.bench.c_str(), r.threads, hw,
                   static_cast<unsigned long long>(r.states),
                   r.states_per_sec(), r.bytes_per_state(), r.wall,
                   i + 1 < rows.size() ? "," : "");
     }
     std::printf("  ,{\"bench\": \"obs_overhead\", \"threads\": 1, "
-                "\"states\": %llu, \"base_seconds\": %.6f, "
-                "\"obs_seconds\": %.6f, \"overhead_pct\": %.2f}\n",
-                static_cast<unsigned long long>(obs_states), obs_base_s,
+                "\"hw_threads\": %d, \"states\": %llu, "
+                "\"base_seconds\": %.6f, \"obs_seconds\": %.6f, "
+                "\"overhead_pct\": %.2f}\n",
+                hw, static_cast<unsigned long long>(obs_states), obs_base_s,
                 obs_instr_s, obs_overhead_pct);
     std::printf("  ,{\"bench\": \"spill_overhead\", \"threads\": 1, "
-                "\"states\": %llu, \"base_seconds\": %.6f, "
-                "\"spill_seconds\": %.6f, \"overhead_pct\": %.2f}\n",
-                static_cast<unsigned long long>(spill_states), spill_base_s,
+                "\"hw_threads\": %d, \"states\": %llu, "
+                "\"base_seconds\": %.6f, \"spill_seconds\": %.6f, "
+                "\"overhead_pct\": %.2f}\n",
+                hw, static_cast<unsigned long long>(spill_states), spill_base_s,
                 spill_s, spill_overhead_pct);
     std::printf("  ,{\"bench\": \"serve_rtt\", \"threads\": 2, "
-                "\"jobs\": %d, \"cold_ms\": %.3f, \"rtt_ms\": %.3f, "
-                "\"warm_hit_rate\": %.4f}\n",
-                serve_jobs, serve_cold_ms, serve_rtt_ms, serve_warm_hit_rate);
+                "\"hw_threads\": %d, \"jobs\": %d, \"cold_ms\": %.3f, "
+                "\"rtt_ms\": %.3f, \"warm_hit_rate\": %.4f}\n",
+                hw, serve_jobs, serve_cold_ms, serve_rtt_ms,
+                serve_warm_hit_rate);
     std::printf("]\n");
   } else {
     std::printf("parallel exploration throughput (v1 bridge, %d car(s)/side, "
-                "optimized blocks)\n\n",
-                cfg.cars_per_side);
+                "optimized blocks; relay_mesh; %d hardware threads)\n\n",
+                cfg.cars_per_side, hw);
     print_header({"bench", "threads", "states", "states/sec", "B/state",
                   "time"},
                  {16, 9, 12, 14, 10, 12});

@@ -24,8 +24,8 @@
 # (bytes/state, pnpd warm-cache hit rate) fail immediately -- they cannot
 # be noise.
 #
-# Rows: {"bench", "threads", "states", "states_per_sec", "wall_seconds"} from
-# bench_parallel, plus {"bench", "mode", "states", "ratio", ...} reduction-
+# Rows: {"bench", "threads", "hw_threads", "states", "states_per_sec",
+# "wall_seconds"} from bench_parallel, plus {"bench", "mode", "states", "ratio", ...} reduction-
 # ratio rows and {"bench", "mode", "obligations", "cache_hits", "hit_rate",
 # ...} cache rows from bench_reduce, plus the compiled-engine rows from
 # bench_codegen: codegen_{interp,bytecode,aot} throughput rows (and the
@@ -327,6 +327,48 @@ gate_codegen_speed() {
     }' "$out"
 }
 
+# Multi-core gate (wall-clock, in the retried group): on a machine with 4 or
+# more hardware threads, relay_exact at 4 threads must reach the states/s
+# factor below over 1 thread. The bars sit under what a 4-vCPU VM measured
+# (3.0x full; 2.1-2.8x smoke, whose runs last a fifth of a second) by a
+# margin for host drift between the runs, and never under 1.3x; the goal
+# is 2.5x. Fewer hardware threads skip the gate and say so.
+gate_scaling() {
+  awk -v bar="$([[ $smoke -eq 1 ]] && echo 1.4 || echo 1.6)" '
+    /"bench": "relay_exact"/ {
+      threads = 0; hw = 0; sps = 0
+      if (match($0, /"threads": [0-9]+/))
+        threads = substr($0, RSTART + 11, RLENGTH - 11) + 0
+      if (match($0, /"hw_threads": [0-9]+/))
+        hw = substr($0, RSTART + 14, RLENGTH - 14) + 0
+      if (match($0, /"states_per_sec": [0-9.]+/))
+        sps = substr($0, RSTART + 18, RLENGTH - 18) + 0
+      if (threads == 1) one = sps
+      if (threads == 4) four = sps
+      seen = 1
+    }
+    END {
+      if (!seen) { print "FAIL no relay_exact rows" > "/dev/stderr"; exit 1 }
+      if (hw < 4) {
+        printf "relay_exact scaling gate skipped: %d hardware thread(s), " \
+               "needs 4\n", hw > "/dev/stderr"
+        exit 0
+      }
+      if (one <= 0 || four <= 0) {
+        print "FAIL relay_exact lacks a 1- or 4-thread row" > "/dev/stderr"
+        exit 1
+      }
+      f = four / one
+      if (f < bar) {
+        printf "FAIL relay_exact 4-thread speedup %.2fx below %.1fx bar\n",
+               f, bar > "/dev/stderr"
+        exit 1
+      }
+      printf "relay_exact scaling gate passed (4 threads %.2fx over 1, " \
+             "bar %.1fx)\n", f, bar > "/dev/stderr"
+    }' "$out"
+}
+
 wall_ok=0
 for attempt in 1 2; do
   run_benches
@@ -335,7 +377,7 @@ for attempt in 1 2; do
   if [[ -n "$baseline" ]]; then
     gate_bytes || { echo "bytes/state gate FAILED" >&2; exit 1; }
   fi
-  if gate_obs && gate_spill && gate_codegen_speed &&
+  if gate_obs && gate_spill && gate_codegen_speed && gate_scaling &&
      { [[ -z "$baseline" ]] || gate_throughput; }; then
     wall_ok=1
     break

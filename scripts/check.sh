@@ -30,11 +30,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # that share one immutable Engine across workers (EnginePor runs the
   # parallel POR sweep at threads 2/8 through bytecode and AOT backends;
   # EngineExplore covers the plain parallel sweep; EngineLtl the racing
-  # nested-DFS workers).
+  # nested-DFS workers), plus the shared stores' lock-free read paths
+  # (ConcurrentStore: the sharded visited set and the striped compressor
+  # hammered from several threads through table growth).
   cmake -B build-tsan -S . -DPNP_SANITIZE=thread
   cmake --build build-tsan -j --target test_parallel test_explore test_serve \
-    test_codegen pnpv
+    test_codegen test_compress pnpv
   TSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
-      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl'
+      -R 'Parallel|Swarm|Explore|Serve|pnpv\.threads|EnginePor|EngineExplore|EngineLtl|ConcurrentStore'
 fi

@@ -1,7 +1,6 @@
 #include "explore/explorer.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <deque>
 #include <memory>
@@ -12,6 +11,7 @@
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
 #include "explore/por.h"
+#include "explore/succ_key.h"
 #include "explore/visited.h"
 #include "kernel/compress.h"
 #include "support/hash.h"
@@ -137,16 +137,8 @@ class FlatRun {
         visited_(opt.bitstate, opt.bitstate_bytes, /*seed=*/0,
                  opt.bitstate ? 0 : expected_states(opt)),
         compressor_(m.layout(), /*stripes=*/1),
+        keyer_(compressor_, opt.engine),
         stop_(stop) {
-    if (!opt.bitstate) {
-      const std::size_t n = static_cast<std::size_t>(compressor_.n_regions());
-      ids_tmp_.resize(n);
-      dirty_.resize(n);
-      if (opt.engine != nullptr && opt.engine->encode_support() && n <= 64) {
-        enc_engine_ = opt.engine;
-        region_hashes_.resize(n);
-      }
-    }
     if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();
     if (!opt.checkpoint_path.empty() || opt.resume_from != nullptr) {
       PNP_CHECK(!opt.bitstate,
@@ -158,7 +150,8 @@ class FlatRun {
                 "the search stack, which a resumed run cannot reconstruct)");
     }
     if (opt.resume_from != nullptr) {
-      PNP_CHECK(opt.resume_from->meta.state_size == m.layout().size(),
+      PNP_CHECK(opt.resume_from->meta.state_size ==
+                    static_cast<std::uint32_t>(m.layout().size()),
                 "checkpoint state size does not match this machine");
     }
   }
@@ -257,6 +250,7 @@ class FlatRun {
     std::uint32_t idx_ = 0;
     State child;      // fresh child (Outcome::Child) or final state (Violation)
     Step child_step;  // its in-step / the violating extra step
+    std::vector<std::uint32_t> child_ids;  // fresh child's region ids (exact)
     Violation violation;
 
    private:
@@ -298,6 +292,7 @@ class FlatRun {
     }
     sink.child = ns;  // the one copy a genuinely fresh state costs
     sink.child_step = step;
+    if (!opt_.bitstate) sink.child_ids = keyer_.ids();
     sink.outcome = Outcome::Child;
     return false;
   }
@@ -357,7 +352,7 @@ class FlatRun {
     Pending& p = pend_[pend_[0].stage == 0 ? 0 : 1];
     p.step = step;
     p.key.assign(key.begin(), key.end());
-    p.ids.assign(ids_tmp_.begin(), ids_tmp_.end());
+    p.ids.assign(keyer_.ids().begin(), keyer_.ids().end());
     p.writes.clear();
     for (const auto& [slot, old] : scratch_.undo)
       p.writes.emplace_back(slot, ns.mem[static_cast<std::size_t>(slot)]);
@@ -417,9 +412,8 @@ class FlatRun {
     }
     sink.child = pending_state(f, p);
     sink.child_step = p.step;
-    // the frame push reads the child's region ids out of ids_tmp_, which a
-    // later candidate's compression has since overwritten
-    ids_tmp_.assign(p.ids.begin(), p.ids.end());
+    // the keyer's ids belong to a later candidate by now
+    sink.child_ids.swap(p.ids);
     sink.outcome = Outcome::Child;
     // a younger in-flight candidate sits exactly at the new f.next, so it
     // re-surfaces on the next pass; drop it
@@ -475,7 +469,7 @@ class FlatRun {
       Frame root;
       root.state = m_.initial();
       visited_.insert(root_key(root.state));
-      if (!opt_.bitstate) root.ids = ids_tmp_;
+      if (!opt_.bitstate) root.ids = keyer_.ids();
       if (opt_.por) {
         kernel::encode_key_into(root.state, root.raw_key);
         on_stack_.insert(root.raw_key);
@@ -551,8 +545,7 @@ class FlatRun {
         case Outcome::Child: {
           Frame nf;
           nf.state = std::move(sink.child);
-          // ids_tmp_ still holds the child's ids: the pass stopped at it
-          if (!opt_.bitstate) nf.ids = ids_tmp_;
+          nf.ids = std::move(sink.child_ids);
           nf.in_step = sink.child_step;
           if (opt_.por) {
             kernel::encode_key_into(nf.state, nf.raw_key);
@@ -627,7 +620,8 @@ class FlatRun {
       return true;
     }
     nodes_.push_back({State(ns),
-                      opt_.bitstate ? std::vector<std::uint32_t>() : ids_tmp_,
+                      opt_.bitstate ? std::vector<std::uint32_t>()
+                                    : keyer_.ids(),
                       head, step});
     return true;
   }
@@ -660,16 +654,15 @@ class FlatRun {
       seed_resume();
       for (Checkpoint::Pending& p : seeds_) {
         BfsNode n{std::move(p.state), {}, -1, {}};
-        compressor_.compress_full(n.state, key_buf_, ids_tmp_.data());
-        ++compress_full_;
-        n.ids = ids_tmp_;
+        keyer_.full(n.state);
+        n.ids = keyer_.ids();
         nodes_.push_back(std::move(n));
       }
       seeds_.clear();
     } else {
       BfsNode root{m_.initial(), {}, -1, {}};
       visited_.insert(root_key(root.state));
-      if (!opt_.bitstate) root.ids = ids_tmp_;
+      if (!opt_.bitstate) root.ids = keyer_.ids();
       nodes_.push_back(std::move(root));
     }
 
@@ -731,53 +724,24 @@ class FlatRun {
   /// unchanged); bitstate mode keeps hashing the raw canonical encoding --
   /// the Bloom filter's verdict depends on the exact bytes its hash
   /// functions see. Exact mode leaves the state's per-region ids in
-  /// ids_tmp_ for the caller to adopt.
+  /// keyer_.ids() for the caller to adopt.
   std::span<const std::uint8_t> root_key(const State& s) {
     if (opt_.bitstate) {
       kernel::encode_key_into(s, probe_buf_);
       return byte_span(probe_buf_);
     }
-    compressor_.compress_full(s, key_buf_, ids_tmp_.data());
-    ++compress_full_;
-    return key_buf_;
+    return keyer_.full(s);
   }
 
   /// Key of a successor just produced by the streaming generator, while its
-  /// undo log still describes the mutation: exact mode re-interns only the
-  /// touched regions and reuses `parent_ids` everywhere else (the COLLAPSE
-  /// delta win -- most steps dirty one or two regions out of many).
+  /// undo log still describes the mutation (see SuccKeyer::delta).
   std::span<const std::uint8_t> succ_key(
       const State& s, const std::vector<std::uint32_t>& parent_ids) {
     if (opt_.bitstate) {
       kernel::encode_key_into(s, probe_buf_);
       return byte_span(probe_buf_);
     }
-    if (enc_engine_ != nullptr) {
-      // Engine store path: the undo log folds to a region bitmask through
-      // the engine's constant slot->mask table, and each dirty region's
-      // hash comes from its open-coded layout walk (bit-exact fast_hash64,
-      // so ids and key bytes are unchanged -- see Engine::encode_support).
-      const std::uint64_t dirty = enc_engine_->dirty_regions(
-          scratch_.undo.data(), scratch_.undo.size());
-      for (std::uint64_t rest = dirty; rest != 0; rest &= rest - 1) {
-        const int k = std::countr_zero(rest);
-        region_hashes_[static_cast<std::size_t>(k)] =
-            enc_engine_->region_hash(s.mem.data(), k);
-      }
-      compressor_.compress_delta_masked(s, parent_ids.data(), dirty,
-                                        region_hashes_.data(), key_buf_,
-                                        ids_tmp_.data());
-    } else {
-      std::fill(dirty_.begin(), dirty_.end(), std::uint8_t{0});
-      const std::vector<int>& reg = compressor_.region_of_slot();
-      for (const auto& [slot, old] : scratch_.undo)
-        dirty_[static_cast<std::size_t>(
-            reg[static_cast<std::size_t>(slot)])] = 1;
-      compressor_.compress_delta(s, parent_ids.data(), dirty_.data(), key_buf_,
-                                 ids_tmp_.data());
-    }
-    ++compress_delta_;
-    return key_buf_;
+    return keyer_.delta(s, scratch_.undo, parent_ids.data());
   }
 
   std::uint64_t store_bytes() const {
@@ -925,11 +889,7 @@ class FlatRun {
   /// deterministically; the frontier lands in seeds_.
   void seed_resume() {
     const Checkpoint& c = *opt_.resume_from;
-    for (const State& s : c.visited) {
-      compressor_.compress_full(s, key_buf_, ids_tmp_.data());
-      ++compress_full_;
-      visited_.insert(key_buf_);
-    }
+    for (const State& s : c.visited) visited_.insert(keyer_.full(s));
     matched_ = c.meta.states_matched;
     transitions_ = c.meta.transitions;
     ckpt_seq_ = c.meta.seq;
@@ -947,9 +907,8 @@ class FlatRun {
     Frame f;
     f.state = std::move(seeds_.back().state);
     seeds_.pop_back();
-    compressor_.compress_full(f.state, key_buf_, ids_tmp_.data());
-    ++compress_full_;
-    f.ids = ids_tmp_;
+    keyer_.full(f.state);
+    f.ids = keyer_.ids();
     stack_.push_back(std::move(f));
     return true;
   }
@@ -988,8 +947,8 @@ class FlatRun {
     blk_->set(obs::Counter::StatesMatched, matched_);
     blk_->set(obs::Counter::Transitions, transitions_);
     blk_->set(obs::Counter::PorAmpleSets, por_ample_);
-    blk_->set(obs::Counter::CompressFull, compress_full_);
-    blk_->set(obs::Counter::CompressDelta, compress_delta_);
+    blk_->set(obs::Counter::CompressFull, keyer_.fulls());
+    blk_->set(obs::Counter::CompressDelta, keyer_.deltas());
   }
 
   std::uint64_t state_bytes() const {
@@ -1005,20 +964,14 @@ class FlatRun {
   const Options& opt_;
   VisitedSet visited_;
   kernel::StateCompressor compressor_;
+  SuccKeyer keyer_;  // exact mode's successor -> key path
   const std::atomic<bool>* stop_ = nullptr;
 
   kernel::SuccScratch scratch_;
   std::vector<Frame> stack_;
   std::deque<BfsNode> nodes_;
   std::unordered_set<std::string> on_stack_;
-  std::vector<std::uint8_t> key_buf_;
-  std::vector<std::uint32_t> ids_tmp_;  // last-compressed state's region ids
   Pending pend_[2];  // engine-path probe pipeline, oldest first (DFS only)
-  std::vector<std::uint8_t> dirty_;     // per-region dirty flags (reused)
-  // Engine-specialized store path (null = generic compressor walk): set
-  // when the engine open-codes this layout's dirty-mask and region-hash.
-  const codegen::Engine* enc_engine_ = nullptr;
-  std::vector<std::uint64_t> region_hashes_;  // per-region, dirty bits only
   std::string probe_buf_;
 
   std::uint64_t matched_ = 0;
@@ -1033,8 +986,6 @@ class FlatRun {
   obs::CounterBlock* blk_ = nullptr;  // this run's telemetry slice
   std::uint64_t obs_tick_ = 0;
   std::uint64_t por_ample_ = 0;
-  std::uint64_t compress_full_ = 0;
-  std::uint64_t compress_delta_ = 0;
   bool warned_states_ = false;
   bool warned_memory_ = false;
 

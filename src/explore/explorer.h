@@ -53,11 +53,11 @@ struct Options {
   /// Worker threads for the search. 1 (the default) runs the sequential
   /// engine, bit-for-bit identical to prior behavior; 0 means hardware
   /// concurrency. With more than one thread, exact mode uses a sharded
-  /// (lock-striped) visited set with a work-stealing frontier -- verdicts
-  /// and, for complete runs, reached-state counts are independent of the
-  /// thread count (counterexample trails may differ). Bitstate mode becomes
-  /// swarm search: N independently seeded bitstate searches run concurrently
-  /// and their verdicts are merged.
+  /// visited set (lock-free duplicate hits) with a work-stealing frontier --
+  /// verdicts and, for complete runs, reached-state counts are independent
+  /// of the thread count (counterexample trails may differ). Bitstate mode
+  /// becomes swarm search: N independently seeded bitstate searches run
+  /// concurrently and their verdicts are merged.
   int threads = 1;
   /// Observability context: engines publish counters into per-run blocks
   /// (opened on obs->recorder()), emit rate-limited Progress heartbeats,

@@ -16,117 +16,54 @@
 // slab -- callers cannot tell where a record landed.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <span>
 #include <vector>
 
-#if defined(__linux__)
-#include <sys/mman.h>
-#endif
-
 #include "support/hash.h"
 #include "support/panic.h"
+#include "support/probe_table.h"
 #include "support/spill.h"
 
 namespace pnp::explore {
 
-/// Anonymous mapping advised onto transparent huge pages. The visited
-/// table is probed at a random slot per insert; at millions of states the
-/// table spans hundreds of megabytes, so with 4 KiB pages nearly every
-/// probe adds a dTLB miss on top of the unavoidable cache miss. 2 MiB
-/// pages cover the whole table with a few dozen TLB entries. Falls back to
-/// plain operator new when mmap is unavailable (non-Linux, or mmap
-/// failure) -- callers only see zeroed memory either way.
-class HugeZeroBuf {
- public:
-  HugeZeroBuf() = default;
-  explicit HugeZeroBuf(std::size_t bytes) { allocate(bytes); }
-  ~HugeZeroBuf() { release(); }
-
-  HugeZeroBuf(HugeZeroBuf&& o) noexcept { *this = std::move(o); }
-  HugeZeroBuf& operator=(HugeZeroBuf&& o) noexcept {
-    if (this != &o) {
-      release();
-      data_ = o.data_;
-      bytes_ = o.bytes_;
-      mapped_ = o.mapped_;
-      o.data_ = nullptr;
-      o.bytes_ = 0;
-      o.mapped_ = false;
-    }
-    return *this;
-  }
-  HugeZeroBuf(const HugeZeroBuf&) = delete;
-  HugeZeroBuf& operator=(const HugeZeroBuf&) = delete;
-
-  void* data() const { return data_; }
-  std::size_t bytes() const { return bytes_; }
-
- private:
-  static constexpr std::size_t kHuge = std::size_t{2} << 20;
-
-  void allocate(std::size_t bytes) {
-    bytes_ = bytes;
-#if defined(__linux__)
-    if (bytes >= kHuge) {
-      const std::size_t len = (bytes + kHuge - 1) & ~(kHuge - 1);
-      void* p = ::mmap(nullptr, len, PROT_READ | PROT_WRITE,
-                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-      if (p != MAP_FAILED) {
-        ::madvise(p, len, MADV_HUGEPAGE);
-        data_ = p;
-        bytes_ = len;
-        mapped_ = true;
-        return;
-      }
-    }
-#endif
-    data_ = ::operator new(bytes);
-    std::memset(data_, 0, bytes);
-  }
-
-  void release() {
-#if defined(__linux__)
-    if (mapped_) {
-      ::munmap(data_, bytes_);
-      data_ = nullptr;
-      mapped_ = false;
-      return;
-    }
-#endif
-    if (data_ != nullptr) ::operator delete(data_);
-    data_ = nullptr;
-  }
-
-  void* data_ = nullptr;
-  std::size_t bytes_ = 0;
-  bool mapped_ = false;
-};
+using support::HugeZeroBuf;
 
 /// Append-only arena for length-prefixed key records. Records never span a
 /// slab boundary and slabs never move, so a returned offset stays valid for
 /// the arena's lifetime.
+///
+/// Offsets address a fixed span of 2 MiB per slab (slab = off >> 21), and
+/// the slab directory is a fixed array: at() and equals() read it without
+/// a lock while a writer appends, so the parallel visited set can confirm
+/// a fingerprint hit lock-free. Slabs are sized to the keys they hold:
+/// they double from 64 KiB up to the 2 MiB span, so a store holding a few
+/// hundred KiB of keys does not pin a whole huge page per arena.
 class KeyArena {
  public:
+  KeyArena()
+      : dir_(std::make_unique_for_overwrite<std::uint8_t*[]>(kMaxSlabs)) {}
+
   /// Appends `key` (2-byte length prefix + bytes) and returns its offset.
   std::uint32_t append(std::span<const std::uint8_t> key) {
     const std::size_t need = key.size() + 2;
     PNP_CHECK(key.size() <= 0xffff, "visited key exceeds 64 KiB");
-    if (kSlabBytes - used_ < need) new_slab();
-    const std::uint32_t off = static_cast<std::uint32_t>(
-        (slabs_.size() - 1) * kSlabBytes + used_);
-    std::uint8_t* dst = slabs_.back() + used_;
+    if (cap_ - used_ < need) new_slab(need);
+    const std::uint32_t off =
+        static_cast<std::uint32_t>((n_slabs_ - 1) * kSlabSpan + used_);
+    std::uint8_t* dst = dir_[n_slabs_ - 1] + used_;
     dst[0] = static_cast<std::uint8_t>(key.size() & 0xff);
     dst[1] = static_cast<std::uint8_t>(key.size() >> 8);
-    std::memcpy(dst + 2, key.data(), key.size());
+    if (!key.empty()) std::memcpy(dst + 2, key.data(), key.size());
     used_ += need;
     return off;
   }
 
   std::span<const std::uint8_t> at(std::uint32_t off) const {
-    const std::uint8_t* p = slabs_[off / kSlabBytes] + off % kSlabBytes;
+    const std::uint8_t* p = record(off);
     const std::size_t len =
         static_cast<std::size_t>(p[0]) | (static_cast<std::size_t>(p[1]) << 8);
     return {p + 2, len};
@@ -135,14 +72,15 @@ class KeyArena {
   bool equals(std::uint32_t off, std::span<const std::uint8_t> key) const {
     const std::span<const std::uint8_t> rec = at(off);
     return rec.size() == key.size() &&
-           std::memcmp(rec.data(), key.data(), key.size()) == 0;
+           (key.empty() ||
+            std::memcmp(rec.data(), key.data(), key.size()) == 0);
   }
 
   /// Hints the cache that the record at `off` is about to be read. Two
   /// lines: a typical key straddles a line boundary often enough that the
   /// second serial miss would eat most of the hint's win.
   void prefetch(std::uint32_t off) const {
-    const std::uint8_t* p = slabs_[off / kSlabBytes] + off % kSlabBytes;
+    const std::uint8_t* p = record(off);
     __builtin_prefetch(p);
     __builtin_prefetch(p + 64);
   }
@@ -155,44 +93,62 @@ class KeyArena {
   /// slab's tail). Pass nullptr to detach. The pool must outlive the
   /// arena's last access.
   void attach_spill(support::SpillPool* pool) {
-    if (pool != spill_) used_ = kSlabBytes;
+    if (pool != spill_) used_ = cap_;
     spill_ = pool;
   }
   bool spilling() const { return spill_ != nullptr; }
 
   /// Total arena footprint, resident or not.
-  std::uint64_t bytes() const { return slabs_.size() * kSlabBytes; }
-  /// Heap (unconditionally resident) share of bytes().
-  std::uint64_t resident_bytes() const { return heap_.size() * kSlabBytes; }
+  std::uint64_t bytes() const { return resident_bytes() + spill_bytes(); }
+  /// Heap (unconditionally resident) share of bytes(). Readable from any
+  /// thread while a writer appends.
+  std::uint64_t resident_bytes() const {
+    return resident_.load(std::memory_order_relaxed);
+  }
   /// Disk-backed (page-cache evictable) share of bytes().
   std::uint64_t spill_bytes() const {
-    return (slabs_.size() - heap_.size()) * kSlabBytes;
+    return spilled_.load(std::memory_order_relaxed);
   }
 
  private:
-  // 2 MiB slabs sit on one transparent huge page each: duplicate-candidate
-  // confirms read the arena at random offsets, and the huge mapping spares
-  // them the per-read dTLB miss the old 256 KiB heap slabs paid.
-  static constexpr std::size_t kSlabBytes = std::size_t{2} << 20;
-  static constexpr std::size_t kMaxSlabs = (std::uint64_t{1} << 32) / kSlabBytes;
+  static constexpr std::size_t kSlabSpan = HugeZeroBuf::kHuge;
+  static constexpr std::size_t kFirstSlab = std::size_t{64} << 10;
+  static constexpr std::size_t kMaxSlabs = (std::uint64_t{1} << 32) / kSlabSpan;
 
-  void new_slab() {
-    PNP_CHECK(slabs_.size() < kMaxSlabs,
+  const std::uint8_t* record(std::uint32_t off) const {
+    return dir_[off / kSlabSpan] + off % kSlabSpan;
+  }
+
+  void new_slab(std::size_t need) {
+    PNP_CHECK(n_slabs_ < kMaxSlabs,
               "visited-key arena exceeds 4 GiB (raise the memory budget "
               "or switch to bitstate mode)");
+    std::size_t bytes = n_slabs_ < 5 ? kFirstSlab << n_slabs_ : kSlabSpan;
+    while (bytes < need) bytes *= 2;  // a key near 64 KiB in an early slab
+    std::uint8_t* slab;
     if (spill_) {
-      slabs_.push_back(static_cast<std::uint8_t*>(spill_->alloc(kSlabBytes)));
+      slab = static_cast<std::uint8_t*>(spill_->alloc(bytes));
+      spilled_.store(spill_bytes() + bytes, std::memory_order_relaxed);
     } else {
-      heap_.emplace_back(kSlabBytes);
-      slabs_.push_back(static_cast<std::uint8_t*>(heap_.back().data()));
+      // Only full 2 MiB slabs go onto a huge page (see HugeZeroBuf).
+      heap_.emplace_back(bytes);
+      slab = static_cast<std::uint8_t*>(heap_.back().data());
+      resident_.store(resident_bytes() + bytes, std::memory_order_relaxed);
     }
+    dir_[n_slabs_++] = slab;
+    cap_ = bytes;
     used_ = 0;
   }
 
-  std::vector<std::uint8_t*> slabs_;  // heap- and spill-backed alike
-  std::vector<HugeZeroBuf> heap_;     // owns the heap slabs
+  std::unique_ptr<std::uint8_t*[]> dir_;  // kMaxSlabs entries, n_slabs_ set
+  // Writer-side state on its own line: lock-free readers only load dir_.
+  alignas(64) std::size_t n_slabs_ = 0;
+  std::size_t cap_ = 0;   // bytes in the current slab
+  std::size_t used_ = 0;  // bytes appended to the current slab
+  std::vector<HugeZeroBuf> heap_;        // owns the heap slabs
   support::SpillPool* spill_ = nullptr;  // not owned; frees on destruction
-  std::size_t used_ = kSlabBytes;  // forces the first slab on first append
+  std::atomic<std::uint64_t> resident_{0};
+  std::atomic<std::uint64_t> spilled_{0};
 };
 
 /// Open-addressing set of byte keys, probed by a caller-supplied 64-bit

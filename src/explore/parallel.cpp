@@ -2,12 +2,16 @@
 //
 // Exact mode (run_parallel): every worker owns a deque of pending states
 // and steals from its peers when it runs dry; the visited set is the
-// lock-striped ShardedVisitedSet over flat probe tables, keyed by the
-// COLLAPSE-compressed state encoding (a shared lock-striped
-// StateCompressor interns the components), so the reached-state set -- and
-// therefore the verdict and the stored-state count of a complete run -- is
-// identical at every thread count. Successors are streamed from per-worker
-// mutate-and-revert scratch; only genuinely fresh states are copied.
+// ShardedVisitedSet, keyed by the COLLAPSE-compressed state encoding (a
+// shared 16-stripe StateCompressor interns the components), so the
+// reached-state set -- and therefore the verdict and the stored-state
+// count of a complete run -- is identical at every thread count. Both
+// shared structures find what they already hold without a lock; only new
+// keys and new components take a shard or stripe lock. Successors are
+// streamed from per-worker mutate-and-revert scratch and keyed by delta
+// compression against their parent's region ids (SuccKeyer, the same path
+// the sequential engine takes). A queued state is just its compressed key
+// -- its region ids and atomic pid -- decompressed when it is popped.
 // Counterexamples are reconstructed from per-worker parent-edge arenas
 // after the winning worker flags a violation, so trails stay exact (their
 // shape may differ run to run; the verdict may not).
@@ -28,12 +32,16 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
+#include <string>
 #include <thread>
 
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
 #include "explore/explorer.h"
 #include "explore/por.h"
+#include "explore/succ_key.h"
 #include "explore/visited.h"
 #include "kernel/compress.h"
 #include "support/hash.h"
@@ -65,10 +73,14 @@ class ParallelRun {
         workers_(static_cast<std::size_t>(threads)),
         visited_(expected_states(opt)),
         compressor_(m.layout(), /*stripes=*/16) {
-    if (opt.obs != nullptr)
-      for (Worker& w : workers_) w.blk = opt.obs->recorder().open_block();
+    for (Worker& w : workers_) {
+      w.keyer.emplace(compressor_, opt.engine);
+      w.ids.resize(static_cast<std::size_t>(compressor_.n_regions()));
+      if (opt.obs != nullptr) w.blk = opt.obs->recorder().open_block();
+    }
     if (opt.resume_from != nullptr) {
-      PNP_CHECK(opt.resume_from->meta.state_size == m.layout().size(),
+      PNP_CHECK(opt.resume_from->meta.state_size ==
+                    static_cast<std::uint32_t>(m.layout().size()),
                 "checkpoint state size does not match this machine");
     }
   }
@@ -76,6 +88,7 @@ class ParallelRun {
   Result go() {
     start_ = std::chrono::steady_clock::now();
     active_ = n_;
+    busy_.store(n_, std::memory_order_relaxed);
     if (opt_.resume_from != nullptr)
       seed_resume();
     else
@@ -89,11 +102,14 @@ class ParallelRun {
   }
 
  private:
-  /// A pending state. `gid` indexes the parent-edge arena entry recorded for
-  /// it (kNoGid for the root, or always when traces are off); `depth` is the
-  /// BFS/DFS depth for max_depth accounting.
+  /// A pending state, held as its compressed key: the varint region ids
+  /// plus the atomic pid, which decompress() turns back into the state and
+  /// the ids its successors delta against. Keys of up to 15 bytes live
+  /// inline in the string. `gid` indexes the parent-edge arena entry
+  /// recorded for it (kNoGid for the root, or always when traces are off);
+  /// `depth` is the BFS/DFS depth for max_depth accounting.
   struct Item {
-    State state;
+    std::string key;
     std::uint64_t gid = kNoGid;
     std::uint32_t depth = 0;
   };
@@ -108,17 +124,24 @@ class ParallelRun {
   struct alignas(64) Worker {
     std::mutex mu;
     std::deque<Item> queue;
+    std::atomic<std::size_t> queued{0};  // queue.size(), readable unlocked
     std::deque<Node> nodes;  // stable addresses; grows only
     WorkerStats stats;
     std::uint64_t budget_tick = 0;
     kernel::SuccScratch scratch;         // mutate-and-revert workspace
-    std::vector<std::uint8_t> key_buf;   // compressed-key scratch
+    State state;                         // the expanding item, decompressed
+    std::vector<std::uint32_t> ids;      // ... and its per-region ids
+    std::optional<SuccKeyer> keyer;      // successor -> key (own buffers)
     obs::CounterBlock* blk = nullptr;    // this worker's telemetry slice
     std::uint64_t obs_tick = 0;
     std::uint64_t por_ample = 0;
+    std::uint64_t unpublished = 0;  // fresh stores not yet in stored_floor_
+    // Parent-edge footprint (nodes plus their Step message payloads):
+    // owner-written, read by the memory-budget check on any worker.
+    std::atomic<std::uint64_t> edge_bytes{0};
     // Stored-but-never-queued states (max_states/max_depth), kept so a
     // final checkpoint's frontier is exactly where this run stopped.
-    std::vector<Checkpoint::Pending> overflow;
+    std::vector<Item> overflow;
   };
 
   /// First violation wins; everything needed to rebuild the trail after the
@@ -134,45 +157,44 @@ class ParallelRun {
     return (static_cast<std::uint64_t>(w) << 40) | index;
   }
 
+  static std::string key_string(std::span<const std::uint8_t> key) {
+    return {reinterpret_cast<const char*>(key.data()), key.size()};
+  }
+
   void seed_root() {
-    Item root;
-    root.state = m_.initial();
     Worker& w0 = workers_[0];
-    compressor_.compress(root.state, w0.key_buf);
-    visited_.insert(w0.key_buf, ShardedVisitedSet::hash_key(w0.key_buf));
+    const auto key = w0.keyer->full(m_.initial());
+    visited_.insert(key, ShardedVisitedSet::hash_key(key));
     // The root insert is nobody's WorkerStats; charge it to the recorder's
     // base block so the merged StatesStored total matches visited_.size().
     if (opt_.obs != nullptr)
       opt_.obs->recorder().add(obs::Counter::StatesStored, 1);
-    inflight_.store(1, std::memory_order_relaxed);
-    w0.queue.push_back(std::move(root));
+    stored_floor_.store(1, std::memory_order_relaxed);
+    push(w0, {key_string(key), kNoGid, 0});
   }
 
   /// Re-seeds the shared store from a checkpoint and deals the frontier
   /// round-robin across the workers' queues. Frontier items are parentless
   /// (gid == kNoGid): a trail found after resume starts at a checkpointed
-  /// frontier state.
+  /// frontier state. Their keys come from full compression -- there are no
+  /// parent ids to delta against -- and once popped they delta like any
+  /// other item.
   void seed_resume() {
     const Checkpoint& c = *opt_.resume_from;
-    Worker& w0 = workers_[0];
+    SuccKeyer& keyer = *workers_[0].keyer;
     for (const State& s : c.visited) {
-      compressor_.compress(s, w0.key_buf);
-      visited_.insert(w0.key_buf, ShardedVisitedSet::hash_key(w0.key_buf));
+      const auto key = keyer.full(s);
+      visited_.insert(key, ShardedVisitedSet::hash_key(key));
     }
     base_matched_ = c.meta.states_matched;
     base_transitions_ = c.meta.transitions;
     ckpt_seq_ = c.meta.seq;
+    stored_floor_.store(visited_.size(), std::memory_order_relaxed);
     last_ckpt_states_.store(visited_.size(), std::memory_order_relaxed);
-    std::int64_t inflight = 0;
-    for (std::size_t i = 0; i < c.frontier.size(); ++i) {
-      Item it;
-      it.state = c.frontier[i].state;
-      it.depth = c.frontier[i].depth;
-      workers_[i % static_cast<std::size_t>(n_)].queue.push_back(
-          std::move(it));
-      ++inflight;
-    }
-    inflight_.store(inflight, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < c.frontier.size(); ++i)
+      push(workers_[i % static_cast<std::size_t>(n_)],
+           {key_string(keyer.full(c.frontier[i].state)), kNoGid,
+            c.frontier[i].depth});
     if (opt_.obs != nullptr) {
       // Restored states are nobody's WorkerStats; charge them to the base
       // block so the merged StatesStored total matches visited_.size().
@@ -206,9 +228,10 @@ class ParallelRun {
           [&](const StateSink& sink) {
             for (Worker& w : workers_) {
               std::lock_guard<std::mutex> lock(w.mu);
-              for (const Item& it : w.queue) sink(it.state, it.depth);
-              for (const Checkpoint::Pending& p : w.overflow)
-                sink(p.state, p.depth);
+              for (const Item& it : w.queue)
+                sink(compressor_.decompress(byte_span(it.key)), it.depth);
+              for (const Item& it : w.overflow)
+                sink(compressor_.decompress(byte_span(it.key)), it.depth);
             }
           });
     } catch (const ModelError&) {
@@ -225,6 +248,16 @@ class ParallelRun {
                              ckpt_seq_);
   }
 
+  // -- work-stealing deques and termination ---------------------------------
+  //
+  // A worker pops its own deque and, when that is empty, steals the oldest
+  // item of a peer's. Termination needs no per-item counter: busy_ counts
+  // the workers that may hold an item. A worker leaves it only when its own
+  // deque is empty and a steal found nothing, and an idle worker re-enters
+  // it before it tries to steal. Only an owner pushes onto its deque, and
+  // only while busy, so busy_ == 0 means every deque is empty and no item
+  // is held anywhere: the search is complete.
+
   bool pop_own(Worker& me, Item& out) {
     std::lock_guard<std::mutex> lock(me.mu);
     if (me.queue.empty()) return false;
@@ -235,41 +268,57 @@ class ParallelRun {
       out = std::move(me.queue.back());
       me.queue.pop_back();
     }
+    me.queued.store(me.queue.size(), std::memory_order_relaxed);
     return true;
   }
 
   bool steal(int w, Item& out) {
     for (int i = 1; i < n_; ++i) {
       Worker& victim = workers_[static_cast<std::size_t>((w + i) % n_)];
+      // peek first: an idle thief must not hammer a busy owner's lock
+      if (victim.queued.load(std::memory_order_relaxed) == 0) continue;
       std::lock_guard<std::mutex> lock(victim.mu);
       if (victim.queue.empty()) continue;
       // steal the oldest item: closest to the root, largest subtree
       out = std::move(victim.queue.front());
       victim.queue.pop_front();
+      victim.queued.store(victim.queue.size(), std::memory_order_relaxed);
       return true;
     }
     return false;
   }
 
   void push(Worker& me, Item item) {
-    inflight_.fetch_add(1, std::memory_order_release);
     std::lock_guard<std::mutex> lock(me.mu);
     me.queue.push_back(std::move(item));
+    me.queued.store(me.queue.size(), std::memory_order_relaxed);
+  }
+
+  /// Idle wait once a worker's own deque and one steal pass came up empty.
+  /// Returns true with a stolen item; false when every worker is idle (the
+  /// search is complete) or the run stops.
+  bool await_work(int w, Worker& me, Item& out) {
+    busy_.fetch_sub(1, std::memory_order_acq_rel);
+    while (!stop_.load(std::memory_order_relaxed)) {
+      ckpt_point(me);
+      if (busy_.load(std::memory_order_acquire) == 0) return false;
+      busy_.fetch_add(1, std::memory_order_acq_rel);
+      if (steal(w, out)) return true;
+      busy_.fetch_sub(1, std::memory_order_acq_rel);
+      std::this_thread::yield();
+    }
+    return false;
   }
 
   void work(int w) {
     Worker& me = workers_[static_cast<std::size_t>(w)];
     const auto t0 = std::chrono::steady_clock::now();
+    Item item;
     while (!stop_.load(std::memory_order_relaxed)) {
       ckpt_point(me);
-      Item item;
-      if (!pop_own(me, item) && !steal(w, item)) {
-        if (inflight_.load(std::memory_order_acquire) == 0) break;
-        std::this_thread::yield();
-        continue;
-      }
+      if (!pop_own(me, item) && !steal(w, item) && !await_work(w, me, item))
+        break;
       expand(w, me, item);
-      inflight_.fetch_sub(1, std::memory_order_release);
       observe(me);
     }
     // Retire from the checkpoint barrier so a coordinator never waits for a
@@ -314,9 +363,8 @@ class ParallelRun {
       return;
     }
     if (!ckpt_enabled() || opt_.checkpoint_every == 0) return;
-    if (visited_.size() <
-        last_ckpt_states_.load(std::memory_order_relaxed) +
-            opt_.checkpoint_every)
+    if (!stored_reaches(last_ckpt_states_.load(std::memory_order_relaxed) +
+                        opt_.checkpoint_every))
       return;
     bool expected = false;
     if (!ckpt_request_.compare_exchange_strong(expected, true))
@@ -430,25 +478,54 @@ class ParallelRun {
     me.blk->set(obs::Counter::StatesMatched, me.stats.states_matched);
     me.blk->set(obs::Counter::Transitions, me.stats.transitions);
     me.blk->set(obs::Counter::PorAmpleSets, me.por_ample);
+    me.blk->set(obs::Counter::CompressFull, me.keyer->fulls());
+    me.blk->set(obs::Counter::CompressDelta, me.keyer->deltas());
+  }
+
+  // -- stored-state count ---------------------------------------------------
+  //
+  // visited_.size() sums 64 shard counters, too dear for every fresh store.
+  // Each worker instead adds its fresh stores to stored_floor_ in batches of
+  // kCountBatch, so stored_floor_ <= size() < stored_floor_ + n * kCountBatch,
+  // and the exact sum is taken only when that bound reaches a limit.
+
+  static constexpr std::uint64_t kCountBatch = 256;
+
+  void count_fresh(Worker& me) {
+    if (++me.unpublished < kCountBatch) return;
+    stored_floor_.fetch_add(me.unpublished, std::memory_order_relaxed);
+    me.unpublished = 0;
+  }
+
+  /// visited_.size() >= limit, without the shard sum while clearly below.
+  bool stored_reaches(std::uint64_t limit) const {
+    if (stored_floor_.load(std::memory_order_relaxed) +
+            static_cast<std::uint64_t>(n_) * kCountBatch <
+        limit)
+      return false;
+    return visited_.size() >= limit;
   }
 
   std::uint64_t store_bytes() const {
     return visited_.approx_bytes() + compressor_.approx_bytes();
   }
 
+  /// Bytes one queued item holds: the item, plus its key when the key is
+  /// too long for the string's inline buffer.
+  std::uint64_t item_bytes() const {
+    const std::size_t key_max =
+        static_cast<std::size_t>(compressor_.n_regions()) * 5 + 1;
+    return sizeof(Item) +
+           (key_max > std::string().capacity() ? key_max + 1 : 0);
+  }
+
   std::uint64_t approx_memory() const {
-    // Store + frontier + arenas, estimated from atomic counters only
-    // (per-worker containers are not safely readable cross-thread): every
-    // in-flight item carries a state, and every stored state has at most one
-    // arena node.
-    const std::uint64_t state_bytes =
-        static_cast<std::uint64_t>(m_.layout().size()) * sizeof(kernel::Value);
-    const auto inflight =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            0, inflight_.load(std::memory_order_relaxed)));
-    std::uint64_t bytes = store_bytes() +
-                          inflight * (sizeof(Item) + state_bytes);
-    if (opt_.want_trace) bytes += visited_.size() * sizeof(Node);
+    // Store + frontier + parent edges, estimated from atomic counters only
+    // (per-worker containers are not safely readable cross-thread).
+    std::uint64_t bytes = store_bytes();
+    for (const Worker& w : workers_)
+      bytes += w.queued.load(std::memory_order_relaxed) * item_bytes() +
+               w.edge_bytes.load(std::memory_order_relaxed);
     if (opt_.obs != nullptr) bytes += opt_.obs->approx_bytes();
     return bytes;
   }
@@ -557,31 +634,35 @@ class ParallelRun {
       sink.aborted = true;
       return false;
     }
-    compressor_.compress(ns, me.key_buf);
-    if (!visited_.insert(me.key_buf,
-                         ShardedVisitedSet::hash_key(me.key_buf))) {
+    const auto key = me.keyer->delta(ns, me.scratch.undo, me.ids.data());
+    if (!visited_.insert(key, ShardedVisitedSet::hash_key(key))) {
       ++me.stats.states_matched;
       return true;
     }
     ++me.stats.states_stored;
-    if (visited_.size() >= opt_.max_states) {
+    count_fresh(me);
+    if (stored_reaches(opt_.max_states)) {
       truncate(TruncationReason::MaxStates);
       // stored, but not expanded: same as the sequential engine; remembered
       // so the final checkpoint's frontier is exactly where this run stopped
-      if (ckpt_enabled()) me.overflow.push_back({State(ns), item.depth + 1});
+      if (ckpt_enabled())
+        me.overflow.push_back({key_string(key), kNoGid, item.depth + 1});
       return true;
     }
     if (item.depth + 1 > static_cast<std::uint32_t>(opt_.max_depth)) {
       truncate(TruncationReason::MaxDepth);
-      if (ckpt_enabled()) me.overflow.push_back({State(ns), item.depth + 1});
+      if (ckpt_enabled())
+        me.overflow.push_back({key_string(key), kNoGid, item.depth + 1});
       return true;
     }
-    Item next;
-    next.state = ns;  // the one copy a genuinely fresh state costs
-    next.depth = item.depth + 1;
+    Item next{key_string(key), kNoGid, item.depth + 1};
     if (opt_.want_trace) {
       next.gid = make_gid(w, me.nodes.size());
       me.nodes.push_back({item.gid, step});
+      me.edge_bytes.store(me.edge_bytes.load(std::memory_order_relaxed) +
+                              sizeof(Node) +
+                              step.event.msg.size() * sizeof(kernel::Value),
+                          std::memory_order_relaxed);
     }
     push(me, std::move(next));
     return true;
@@ -594,12 +675,14 @@ class ParallelRun {
       if (ckpt_enabled()) push(me, std::move(item));
       return;
     }
+    compressor_.decompress(byte_span(item.key), me.state, me.ids.data());
+    const State& s = me.state;
     me.stats.max_depth_reached =
         std::max(me.stats.max_depth_reached, static_cast<int>(item.depth));
     // Invariant first: generation has no side effects and the check reads
     // only the state, so the verdict matches the materializing engine's.
-    if (auto v = invariant_violation(item.state)) {
-      record_violation(std::move(*v), item.gid, nullptr, item.state);
+    if (auto v = invariant_violation(s)) {
+      record_violation(std::move(*v), item.gid, nullptr, s);
       return;
     }
     ParSink sink(*this, w, me, item);
@@ -607,20 +690,19 @@ class ParallelRun {
       // BFS-style ample choice (no cycle proviso): a pure function of the
       // state, so the reduced graph -- and the reached-state count -- does
       // not depend on thread count or interleaving.
-      const int choice =
-          por_choose(m_, item.state, nullptr, me.scratch, opt_.engine);
+      const int choice = por_choose(m_, s, nullptr, me.scratch, opt_.engine);
       if (choice >= 0) ++me.por_ample;
-      por_visit(m_, item.state, choice, me.scratch, sink, opt_.engine);
+      por_visit(m_, s, choice, me.scratch, sink, opt_.engine);
     } else if (opt_.engine) {
-      opt_.engine->visit_successors(item.state, me.scratch, sink);
+      opt_.engine->visit_successors(s, me.scratch, sink);
     } else {
-      m_.visit_successors(item.state, me.scratch, sink);
+      m_.visit_successors(s, me.scratch, sink);
     }
     // Zero successors means a terminal state -- unless the pass was cut
     // short by a stop flag, in which case the count is not trustworthy.
     if (sink.produced == 0 && !sink.aborted) {
-      if (auto v = terminal_violation(item.state))
-        record_violation(std::move(*v), item.gid, nullptr, item.state);
+      if (auto v = terminal_violation(s))
+        record_violation(std::move(*v), item.gid, nullptr, s);
     }
     // An aborted pass left successors ungenerated: requeue the item so the
     // final checkpoint re-expands it on resume (idempotent -- its explored
@@ -657,7 +739,7 @@ class ParallelRun {
     st.states_stored = visited_.size();
     st.states_matched = base_matched_;
     st.transitions = base_transitions_;
-    std::uint64_t nodes_total = 0;
+    std::uint64_t edge_bytes = 0;
     std::uint64_t queued = 0;
     for (Worker& w : workers_) {
       st.states_matched += w.stats.states_matched;
@@ -665,15 +747,12 @@ class ParallelRun {
       st.max_depth_reached =
           std::max(st.max_depth_reached, w.stats.max_depth_reached);
       st.workers.push_back(w.stats);
-      nodes_total += w.nodes.size();
+      edge_bytes += w.edge_bytes.load(std::memory_order_relaxed);
       queued += w.queue.size();
     }
-    const std::uint64_t state_bytes =
-        static_cast<std::uint64_t>(m_.layout().size()) * sizeof(kernel::Value);
+    const std::uint64_t frontier_bytes = queued * item_bytes();
     st.store_bytes = store_bytes();
-    st.approx_memory_bytes = st.store_bytes +
-                             nodes_total * sizeof(Node) +
-                             queued * (sizeof(Item) + state_bytes);
+    st.approx_memory_bytes = st.store_bytes + edge_bytes + frontier_bytes;
     st.complete = complete_;
     st.truncation = truncation_;
     st.spilled = spilled_.load(std::memory_order_relaxed);
@@ -686,8 +765,7 @@ class ParallelRun {
         if (w.blk != nullptr) publish_worker(w);
       obs::Recorder& rec = opt_.obs->recorder();
       rec.max_gauge(obs::Gauge::StoreBytes, st.store_bytes);
-      rec.max_gauge(obs::Gauge::FrontierBytes,
-                    queued * (sizeof(Item) + state_bytes));
+      rec.max_gauge(obs::Gauge::FrontierBytes, frontier_bytes);
       rec.max_gauge(obs::Gauge::InternedComponents, compressor_.components());
       rec.max_gauge(obs::Gauge::CompressorBytes, compressor_.approx_bytes());
       rec.max_gauge(obs::Gauge::MaxDepthReached,
@@ -714,10 +792,13 @@ class ParallelRun {
 
   ShardedVisitedSet visited_;
   kernel::StateCompressor compressor_;
-  std::atomic<bool> stop_{false};
-  std::atomic<std::int64_t> inflight_{0};
+  // One line each: stop_ is read for every successor, stored_floor_ for
+  // every fresh store; busy_ changes as workers go idle.
+  alignas(64) std::atomic<bool> stop_{false};
+  alignas(64) std::atomic<std::uint64_t> stored_floor_{0};  // count_fresh()
+  alignas(64) std::atomic<int> busy_{0};  // see await_work()
+  alignas(64) std::mutex trunc_mu_;
 
-  std::mutex trunc_mu_;
   bool complete_ = true;
   TruncationReason truncation_ = TruncationReason::None;
 

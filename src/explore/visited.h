@@ -6,19 +6,17 @@
 //                          optional hash seed so swarm workers can run
 //                          independently seeded bitstate searches;
 //   * ShardedVisitedSet -- the concurrent exact store used by the parallel
-//                          engine: lock-striped over the 64-bit state hash so
-//                          workers contend only when they land on the same
-//                          shard. Insertion is linearizable per key, and the
-//                          global count is an atomic, so max-states checks
-//                          stay cheap.
+//                          engine: 64 shards over the 64-bit state hash,
+//                          each a read-mostly table whose duplicate hits
+//                          take no lock. Insertion is linearizable per key.
 //
 // Exact storage is the flat open-addressing table + slab arena from
 // flat_store.h (no per-key heap nodes); approx_bytes() reports the real
 // table + arena footprint, which is what the memory-budget ladder consumes.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
@@ -124,48 +122,56 @@ class VisitedSet {
   std::uint64_t approx_count_ = 0;
 };
 
-/// Concurrent exact visited set, lock-striped into 64 shards selected by the
-/// top bits of the state-key hash (the bottom bits probe the shard-local
-/// flat table, so the two uses stay independent). `expected` pre-sizes every
-/// shard for expected/64 keys.
+/// Concurrent exact visited set: 64 shards selected by the top bits of the
+/// state-key hash (the bottom bits probe the shard-local table, so the two
+/// uses stay independent). Each shard is a ReadMostlyTable over its own
+/// KeyArena: a duplicate -- four of every five probes in a typical search
+/// -- is found and confirmed against the key bytes without taking a lock;
+/// only a miss takes the shard lock to re-probe, append and publish.
+/// Growth is self-contained, so any number of threads may insert into a
+/// default-constructed set. `expected` pre-sizes every shard for
+/// expected/64 keys.
 class ShardedVisitedSet {
  public:
-  explicit ShardedVisitedSet(std::uint64_t expected = 0) : shards_(kShards) {
-    if (expected > 0)
-      for (Shard& sh : shards_) sh.set.reserve(expected / kShards + 1);
-    refresh_bytes();
+  explicit ShardedVisitedSet(std::uint64_t expected = 0) {
+    shards_.reserve(kShards);
+    for (std::size_t i = 0; i < kShards; ++i)
+      shards_.push_back(std::make_unique<Shard>(expected / kShards + 1));
   }
 
   static std::uint64_t hash_key(std::span<const std::uint8_t> key) {
     return fast_hash64(key);
   }
 
-  /// Returns true if `key` was not present (and records it). `h` must be
-  /// hash_key(key); callers always have it already for sharding.
+  /// Returns true if `key` was not present (and records it); exactly one
+  /// of any number of racing inserts of one key returns true. `h` must be
+  /// hash_key(key) -- or any function of the key bytes used for every
+  /// insert: callers always have it already for sharding.
   bool insert(std::span<const std::uint8_t> key, std::uint64_t h) {
-    Shard& sh = shards_[shard_of(h)];
-    bool fresh;
-    {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      fresh = sh.set.insert(key, h);
-      if (fresh)
-        // Published under the shard lock but read without it: approx_bytes()
-        // may see a slightly stale footprint, never a torn one.
-        sh.bytes.store(sh.set.approx_bytes(), std::memory_order_relaxed);
-    }
-    if (fresh) count_.fetch_add(1, std::memory_order_relaxed);
-    return fresh;
+    Shard& sh = *shards_[shard_of(h)];
+    const auto eq = [&](std::uint32_t off) {
+      return sh.arena.equals(off, key);
+    };
+    if (sh.index.find(h, eq) != support::ReadMostlyTable::kMiss) return false;
+    std::lock_guard<std::mutex> lock(sh.mu);
+    return sh.index.insert(h, eq, [&] { return sh.arena.append(key); }).second;
   }
 
+  /// Stored keys: the sum of the shard counts, so fresh inserts share no
+  /// counter line. Exact once inserts are quiesced; while they run it
+  /// includes at least every insert that returned to this thread.
   std::uint64_t size() const {
-    return count_.load(std::memory_order_relaxed);
+    std::uint64_t n = 0;
+    for (const auto& sh : shards_) n += sh->index.size();
+    return n;
   }
 
-  /// Footprint across all shards, readable without taking any shard lock.
+  /// Footprint across all shards (resident tables plus resident arena
+  /// slabs), readable without taking any shard lock.
   std::uint64_t approx_bytes() const {
     std::uint64_t bytes = 0;
-    for (const Shard& sh : shards_)
-      bytes += sh.bytes.load(std::memory_order_relaxed);
+    for (const auto& sh : shards_)
+      bytes += sh->index.bytes() + sh->arena.resident_bytes();
     return bytes;
   }
 
@@ -173,31 +179,24 @@ class ShardedVisitedSet {
   /// workers are inserting: the switch is taken under each shard lock and
   /// only affects future slab allocations.
   void attach_spill(support::SpillPool* pool) {
-    for (Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.set.attach_spill(pool);
-      sh.bytes.store(sh.set.approx_bytes(), std::memory_order_relaxed);
+    for (const auto& sh : shards_) {
+      std::lock_guard<std::mutex> lock(sh->mu);
+      sh->arena.attach_spill(pool);
     }
   }
 
   std::uint64_t spill_bytes() const {
     std::uint64_t bytes = 0;
-    for (const Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      bytes += sh.set.spill_bytes();
-    }
+    for (const auto& sh : shards_) bytes += sh->arena.spill_bytes();
     return bytes;
   }
 
-  /// Enumerates every stored key across all shards, taking each shard lock
-  /// in turn. Callers needing a consistent snapshot must quiesce inserts
-  /// first (the parallel engine's checkpoint barrier does).
+  /// Enumerates every stored key across all shards. Callers must quiesce
+  /// inserts first (the parallel engine's checkpoint barrier does).
   template <class F>
   void for_each_key(F&& f) const {
-    for (const Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lock(sh.mu);
-      sh.set.for_each_key(f);
-    }
+    for (const auto& sh : shards_)
+      sh->index.for_each([&](std::uint32_t off) { f(sh->arena.at(off)); });
   }
 
  private:
@@ -207,20 +206,15 @@ class ShardedVisitedSet {
     return static_cast<std::size_t>(h >> 58);  // top 6 bits
   }
 
-  void refresh_bytes() {
-    for (Shard& sh : shards_)
-      sh.bytes.store(sh.set.approx_bytes(), std::memory_order_relaxed);
-  }
-
-  // Cache-line aligned so neighboring shard locks don't false-share.
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    FlatKeySet set;
-    std::atomic<std::uint64_t> bytes{0};
+  // One allocation per shard keeps neighboring shards' lines apart.
+  struct Shard {
+    explicit Shard(std::uint64_t expected) : index(expected) {}
+    support::ReadMostlyTable index;
+    KeyArena arena;
+    std::mutex mu;  // writers only
   };
 
-  std::vector<Shard> shards_;
-  std::atomic<std::uint64_t> count_{0};
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace pnp::explore

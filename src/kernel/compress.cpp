@@ -9,12 +9,6 @@ namespace pnp::kernel {
 
 namespace {
 
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t c = 64;
-  while (c < n) c <<= 1;
-  return c;
-}
-
 // Compressed keys are built tens of millions of times per run; writing
 // through a raw pointer into a pre-sized buffer avoids the per-byte
 // push_back size/capacity dance that showed up in exploration profiles.
@@ -52,20 +46,17 @@ StateCompressor::StateCompressor(const Layout& lay, int stripes,
       state_size_(lay.size()) {
   const auto regions = lay.regions();
   regions_.reserve(regions.size());
-  const std::size_t per_stripe = pow2_at_least(
-      (expected_components / static_cast<std::size_t>(n_stripes_) + 1) * 2);
+  const std::size_t per_stripe =
+      expected_components / static_cast<std::size_t>(n_stripes_) + 1;
   for (const auto& [begin, width] : regions) {
     Region r;
     r.begin = begin;
     r.width = width;
-    r.stripes = std::make_unique<Stripe[]>(static_cast<std::size_t>(n_stripes_));
     for (int i = 0; i < n_stripes_; ++i) {
-      Stripe& st = r.stripes[static_cast<std::size_t>(i)];
-      st.slots.assign(per_stripe, Slot{});
+      r.stripes.push_back(std::make_unique<Stripe>(per_stripe));
+      Stripe& st = *r.stripes.back();
       st.store.init(width);
-      st.bytes.store(st.slots.capacity() * sizeof(Slot) +
-                         st.store.resident_bytes(),
-                     std::memory_order_relaxed);
+      st.bytes.store(st.index.bytes(), std::memory_order_relaxed);
     }
     regions_.push_back(std::move(r));
   }
@@ -74,21 +65,6 @@ StateCompressor::StateCompressor(const Layout& lay, int stripes,
     for (int i = 0; i < regions_[k].width; ++i)
       region_of_slot_[static_cast<std::size_t>(regions_[k].begin + i)] =
           static_cast<int>(k);
-}
-
-void StateCompressor::grow(Stripe& st) {
-  const std::size_t cap = st.slots.size() * 2;
-  PNP_CHECK(cap <= (std::size_t{1} << 32),
-            "component intern table exceeds 2^32 slots");
-  std::vector<Slot> slots(cap);
-  const std::size_t mask = cap - 1;
-  for (const Slot& s : st.slots) {
-    if (s.id == kEmptySlot) continue;
-    std::size_t j = static_cast<std::size_t>(s.fp) & mask;
-    while (slots[j].id != kEmptySlot) j = (j + 1) & mask;
-    slots[j] = s;
-  }
-  st.slots = std::move(slots);
 }
 
 std::uint32_t StateCompressor::intern(Region& r, const Value* vals) {
@@ -100,38 +76,32 @@ std::uint32_t StateCompressor::intern(Region& r, const Value* vals) {
 
 std::uint32_t StateCompressor::intern_hashed(Region& r, const Value* vals,
                                              std::uint64_t h) {
-  const std::size_t width = static_cast<std::size_t>(r.width);
+  const std::size_t bytes = static_cast<std::size_t>(r.width) * sizeof(Value);
   // High bits pick the stripe, low bits probe the stripe-local table, so the
   // two uses stay independent.
-  const int si = static_cast<int>((h >> 48) % static_cast<std::uint64_t>(n_stripes_));
-  const std::uint32_t fp = static_cast<std::uint32_t>(h);
-  Stripe& st = r.stripes[static_cast<std::size_t>(si)];
+  const std::uint32_t si = static_cast<std::uint32_t>(
+      (h >> 48) % static_cast<std::uint64_t>(n_stripes_));
+  const std::uint32_t n = static_cast<std::uint32_t>(n_stripes_);
+  Stripe& st = *r.stripes[si];
+  const auto eq = [&](std::uint32_t local) {
+    return std::memcmp(st.store.at(local), vals, bytes) == 0;
+  };
+  const std::uint32_t hit = st.index.find(h, eq);
+  if (hit != support::ReadMostlyTable::kMiss) return hit * n + si;
+
   std::unique_lock<std::mutex> lock(st.mu, std::defer_lock);
   if (concurrent_) lock.lock();
-
-  const std::size_t mask = st.slots.size() - 1;
-  std::size_t i = static_cast<std::size_t>(h) & mask;
-  while (st.slots[i].id != kEmptySlot) {
-    if (st.slots[i].fp == fp &&
-        std::memcmp(st.store.at(st.slots[i].id), vals,
-                    width * sizeof(Value)) == 0)
-      return st.slots[i].id * static_cast<std::uint32_t>(n_stripes_) +
-             static_cast<std::uint32_t>(si);
-    i = (i + 1) & mask;
+  const auto [local, fresh] = st.index.insert(h, eq, [&] {
+    const std::uint32_t id = st.store.size();
+    st.store.append(vals);
+    return id;
+  });
+  if (fresh) {
+    st.bytes.store(st.index.bytes() + st.store.resident_bytes(),
+                   std::memory_order_relaxed);
+    st.spill_bytes.store(st.store.spill_bytes(), std::memory_order_relaxed);
   }
-  // fresh component: append values, claim the probe slot
-  const std::uint32_t local = st.count++;
-  st.store.append(vals);
-  st.slots[i].fp = fp;
-  st.slots[i].id = local;
-  if ((static_cast<std::size_t>(st.count) + 1) * 10 >= st.slots.size() * 7)
-    grow(st);
-  st.bytes.store(st.slots.capacity() * sizeof(Slot) +
-                     st.store.resident_bytes(),
-                 std::memory_order_relaxed);
-  st.spill_bytes.store(st.store.spill_bytes(), std::memory_order_relaxed);
-  return local * static_cast<std::uint32_t>(n_stripes_) +
-         static_cast<std::uint32_t>(si);
+  return local * n + si;
 }
 
 void StateCompressor::compress(const State& s, std::vector<std::uint8_t>& out) {
@@ -207,29 +177,33 @@ void StateCompressor::compress_delta_masked(const State& s,
 
 State StateCompressor::decompress(std::span<const std::uint8_t> key) const {
   State s;
-  s.mem.assign(static_cast<std::size_t>(state_size_), 0);
+  decompress(key, s, nullptr);
+  return s;
+}
+
+void StateCompressor::decompress(std::span<const std::uint8_t> key, State& s,
+                                 std::uint32_t* ids) const {
+  s.mem.resize(static_cast<std::size_t>(state_size_));
   std::size_t at = 0;
-  for (const Region& r : regions_) {
+  for (std::size_t k = 0; k < regions_.size(); ++k) {
+    const Region& r = regions_[k];
     const std::uint32_t id = read_varint(key, at);
     const std::uint32_t local = id / static_cast<std::uint32_t>(n_stripes_);
-    const std::uint32_t si = id % static_cast<std::uint32_t>(n_stripes_);
-    const Stripe& st = r.stripes[si];
-    PNP_CHECK(local < st.count, "decompress: component id out of range");
-    const std::size_t width = static_cast<std::size_t>(r.width);
+    const Stripe& st = *r.stripes[id % static_cast<std::uint32_t>(n_stripes_)];
+    PNP_CHECK(local < st.store.size(), "decompress: component id out of range");
     std::memcpy(s.mem.data() + r.begin, st.store.at(local),
-                width * sizeof(Value));
+                static_cast<std::size_t>(r.width) * sizeof(Value));
+    if (ids != nullptr) ids[k] = id;
   }
   PNP_CHECK(at + 1 == key.size(), "decompress: trailing bytes in key");
   const std::uint8_t pid = key[at];
   s.atomic_pid = pid == 0xff ? -1 : static_cast<int>(pid);
-  return s;
 }
 
 std::uint64_t StateCompressor::components() const {
   std::uint64_t n = 0;
   for (const Region& r : regions_)
-    for (int i = 0; i < n_stripes_; ++i)
-      n += r.stripes[static_cast<std::size_t>(i)].count;
+    for (const auto& st : r.stripes) n += st->store.size();
   return n;
 }
 
@@ -238,8 +212,7 @@ std::vector<std::uint64_t> StateCompressor::region_component_counts() const {
   out.reserve(regions_.size());
   for (const Region& r : regions_) {
     std::uint64_t n = 0;
-    for (int i = 0; i < n_stripes_; ++i)
-      n += r.stripes[static_cast<std::size_t>(i)].count;
+    for (const auto& st : r.stripes) n += st->store.size();
     out.push_back(n);
   }
   return out;
@@ -248,19 +221,17 @@ std::vector<std::uint64_t> StateCompressor::region_component_counts() const {
 std::uint64_t StateCompressor::approx_bytes() const {
   std::uint64_t bytes = 0;
   for (const Region& r : regions_)
-    for (int i = 0; i < n_stripes_; ++i)
-      bytes += r.stripes[static_cast<std::size_t>(i)].bytes.load(
-          std::memory_order_relaxed);
+    for (const auto& st : r.stripes)
+      bytes += st->bytes.load(std::memory_order_relaxed);
   return bytes;
 }
 
 void StateCompressor::attach_spill(support::SpillPool* pool) {
   for (Region& r : regions_) {
-    for (int i = 0; i < n_stripes_; ++i) {
-      Stripe& st = r.stripes[static_cast<std::size_t>(i)];
-      std::unique_lock<std::mutex> lock(st.mu, std::defer_lock);
+    for (const auto& st : r.stripes) {
+      std::unique_lock<std::mutex> lock(st->mu, std::defer_lock);
       if (concurrent_) lock.lock();
-      st.store.attach_spill(pool);
+      st->store.attach_spill(pool);
     }
   }
 }
@@ -268,9 +239,8 @@ void StateCompressor::attach_spill(support::SpillPool* pool) {
 std::uint64_t StateCompressor::spill_bytes() const {
   std::uint64_t bytes = 0;
   for (const Region& r : regions_)
-    for (int i = 0; i < n_stripes_; ++i)
-      bytes += r.stripes[static_cast<std::size_t>(i)].spill_bytes.load(
-          std::memory_order_relaxed);
+    for (const auto& st : r.stripes)
+      bytes += st->spill_bytes.load(std::memory_order_relaxed);
   return bytes;
 }
 

@@ -13,7 +13,9 @@
 // is exact -- the tables retain every component ever interned.
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -22,82 +24,91 @@
 #include <vector>
 
 #include "kernel/state.h"
+#include "support/probe_table.h"
 #include "support/spill.h"
 
 namespace pnp::kernel {
 
 /// Chunked append-only arena of fixed-width component value records -- the
-/// intern pool behind each compressor stripe. Chunks never move (so value
-/// pointers stay stable across appends) and, once a SpillPool is attached,
-/// new chunks are disk-backed: the pool's pages are clean-evictable, which
-/// lets the intern tables grow past the memory budget. Record `local` lives
-/// at chunk local/per_chunk_, slot local%per_chunk_ -- O(1) either way.
+/// intern pool behind each compressor stripe. Chunks never move, so value
+/// pointers stay stable across appends, and chunk k holds 64 << k records:
+/// record `local` is found by arithmetic in a fixed 32-entry directory,
+/// which lets at() run lock-free while the stripe's writer appends. Once a
+/// SpillPool is attached, new chunks are disk-backed: the pool's pages are
+/// clean-evictable, which lets the intern tables grow past the memory
+/// budget.
 class ValueArena {
  public:
   void init(int width) {
     width_ = width < 0 ? 0 : static_cast<std::size_t>(width);
-    per_chunk_ = kChunkValues / (width_ == 0 ? 1 : width_);
-    if (per_chunk_ == 0) per_chunk_ = 1;
-    used_ = per_chunk_;  // forces a chunk on first append
   }
 
   const Value* at(std::uint32_t local) const {
     // A width-0 region has one empty component; hand back a stable dummy
     // so memcmp(at(..), vals, 0) sees a valid pointer.
     if (width_ == 0) return &kZeroWidth;
-    return chunks_[local / per_chunk_] + (local % per_chunk_) * width_;
+    const std::uint64_t q = local / kFirstChunk + 1;
+    const int k = std::bit_width(q) - 1;
+    const std::uint64_t first = kFirstChunk * ((std::uint64_t{1} << k) - 1);
+    return chunks_[k] + (local - first) * width_;
   }
 
   /// Appends one record (width values); records are addressed by append
   /// order, matching the caller's dense local ids.
   void append(const Value* vals) {
-    if (width_ == 0) return;
-    if (used_ == per_chunk_) new_chunk();
-    std::memcpy(chunks_.back() + used_ * width_, vals, width_ * sizeof(Value));
-    ++used_;
+    const std::uint32_t n = size_.load(std::memory_order_relaxed);
+    if (width_ != 0) {
+      const std::uint64_t q = n / kFirstChunk + 1;
+      const int k = std::bit_width(q) - 1;
+      const std::uint64_t first = kFirstChunk * ((std::uint64_t{1} << k) - 1);
+      if (n == first) new_chunk(k);
+      std::memcpy(chunks_[k] + (n - first) * width_, vals,
+                  width_ * sizeof(Value));
+    }
+    size_.store(n + 1, std::memory_order_release);
   }
+
+  /// Records appended; readable from any thread.
+  std::uint32_t size() const { return size_.load(std::memory_order_acquire); }
 
   void attach_spill(support::SpillPool* pool) { spill_ = pool; }
 
-  std::uint64_t resident_bytes() const {
-    return heap_.size() * chunk_bytes();
-  }
-  std::uint64_t spill_bytes() const {
-    return (chunks_.size() - heap_.size()) * chunk_bytes();
-  }
+  std::uint64_t resident_bytes() const { return resident_; }
+  std::uint64_t spill_bytes() const { return spilled_; }
 
  private:
-  static constexpr std::size_t kChunkValues = 1024;  // ~4 KiB per chunk
+  static constexpr std::uint64_t kFirstChunk = 64;  // records in chunk 0
 
-  std::size_t chunk_bytes() const {
-    return per_chunk_ * width_ * sizeof(Value);
-  }
-
-  void new_chunk() {
+  void new_chunk(int k) {
+    const std::size_t values = (kFirstChunk << k) * width_;
     if (spill_) {
-      chunks_.push_back(static_cast<Value*>(spill_->alloc(chunk_bytes())));
+      chunks_[k] = static_cast<Value*>(spill_->alloc(values * sizeof(Value)));
+      spilled_ += values * sizeof(Value);
     } else {
-      heap_.push_back(std::make_unique<Value[]>(per_chunk_ * width_));
-      chunks_.push_back(heap_.back().get());
+      heap_.push_back(std::make_unique_for_overwrite<Value[]>(values));
+      chunks_[k] = heap_.back().get();
+      resident_ += values * sizeof(Value);
     }
-    used_ = 0;
   }
 
   static constexpr Value kZeroWidth{};
 
   std::size_t width_ = 1;
-  std::size_t per_chunk_ = kChunkValues;
-  std::size_t used_ = kChunkValues;  // forces a chunk on first append
-  std::vector<Value*> chunks_;
+  std::array<Value*, 32> chunks_{};  // chunk k: kFirstChunk << k records
+  std::atomic<std::uint32_t> size_{0};
   std::vector<std::unique_ptr<Value[]>> heap_;  // owns the heap chunks
   support::SpillPool* spill_ = nullptr;         // not owned
+  std::uint64_t resident_ = 0;
+  std::uint64_t spilled_ = 0;
 };
 
 class StateCompressor {
  public:
-  /// `stripes` > 1 lock-stripes every component table so compress() may be
-  /// called concurrently from that many (or more) workers; 1 elides all
-  /// locking for single-threaded searches. `expected_components` pre-sizes
+  /// `stripes` > 1 stripes every component table so compress() and
+  /// decompress() may be called concurrently from that many (or more)
+  /// workers: a component already interned is found without a lock, and
+  /// only a new one takes its stripe's lock. 1 elides all locking for
+  /// single-threaded searches. `expected_components` pre-sizes
   /// each region's table (components are shared across states, so even
   /// million-state runs typically intern a few thousand per region).
   explicit StateCompressor(const Layout& lay, int stripes = 1,
@@ -144,6 +155,12 @@ class StateCompressor {
   /// Exact inverse of compress() for keys produced by this compressor.
   State decompress(std::span<const std::uint8_t> key) const;
 
+  /// decompress() into `out`, reusing its capacity; `ids` (n_regions()
+  /// entries, or null) receives the key's per-region ids, which is what
+  /// compress_delta() needs for the state's successors.
+  void decompress(std::span<const std::uint8_t> key, State& out,
+                  std::uint32_t* ids) const;
+
   int n_regions() const { return static_cast<int>(regions_.size()); }
 
   /// Total distinct components interned across all regions.
@@ -168,36 +185,29 @@ class StateCompressor {
   std::uint64_t spill_bytes() const;
 
  private:
-  // One lock stripe of a region's intern table: open addressing over one
-  // flat array of {local id, 32-bit fingerprint} slots (a probe touches one
-  // cache line, and the arena confirms every fingerprint match, so the
-  // truncation to 32 bits can cost a rare extra compare but never a wrong
-  // id), with the component values appended to a width-strided arena. A
-  // component's global id is local_index * n_stripes + stripe, which keeps
-  // ids dense and injective without cross-stripe coordination.
-  struct Slot {
-    std::uint32_t id = kEmptySlot;  // local index; kEmptySlot = free
-    std::uint32_t fp = 0;           // low 32 bits of the component hash
-  };
+  // One stripe of a region's intern table: a ReadMostlyTable from the
+  // component hash to its local id (the arena confirms every fingerprint
+  // match, so the truncation to 32 bits can cost a rare extra compare but
+  // never a wrong id), with the component values appended to a
+  // width-strided arena. A component's global id is local_index *
+  // n_stripes + stripe, which keeps ids dense and injective without
+  // cross-stripe coordination.
   struct Stripe {
-    std::mutex mu;
-    std::vector<Slot> slots;
+    explicit Stripe(std::size_t expected) : index(expected) {}
+    support::ReadMostlyTable index;
     ValueArena store;
-    std::uint32_t count = 0;
+    std::mutex mu;                              // writers only
     std::atomic<std::uint64_t> bytes{0};        // resident footprint
     std::atomic<std::uint64_t> spill_bytes{0};  // disk-backed footprint
   };
   struct Region {
     int begin = 0;
     int width = 0;
-    std::unique_ptr<Stripe[]> stripes;
+    std::vector<std::unique_ptr<Stripe>> stripes;
   };
-
-  static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
   std::uint32_t intern(Region& r, const Value* vals);
   std::uint32_t intern_hashed(Region& r, const Value* vals, std::uint64_t h);
-  static void grow(Stripe& st);
 
   std::vector<Region> regions_;
   std::vector<int> region_of_slot_;

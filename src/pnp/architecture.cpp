@@ -14,7 +14,10 @@ int Architecture::add_global(std::string name, model::Value init) {
 
 int Architecture::add_component(std::string name, ComponentModelFn fn) {
   PNP_CHECK(fn != nullptr, "component model callback must not be null");
-  components_.push_back({std::move(name), std::move(fn)});
+  ComponentDecl c;
+  c.name = std::move(name);
+  c.fn = std::move(fn);
+  components_.push_back(std::move(c));
   ++version_;
   return static_cast<int>(components_.size()) - 1;
 }

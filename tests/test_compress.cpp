@@ -11,10 +11,13 @@
 // the historical frame-by-frame DFS) and count-identical at 2 and 8.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <unordered_set>
 #include <vector>
 
@@ -234,6 +237,136 @@ TEST(Compress, ConcurrentInterningStaysExact) {
   EXPECT_EQ(distinct.size(), states.size());
 }
 
+// -- concurrent stores --------------------------------------------------------
+//
+// The parallel engine's two shared structures find what they hold without a
+// lock and take one only to add. These run from several threads through
+// table growth and are part of the TSan lane (scripts/check.sh --tsan).
+
+TEST(ConcurrentStore, ShardedSetInsertsEachKeyOnceAcrossGrowth) {
+  // Distinct keys 0..kKeys-1; thread t inserts the keys k with k % 4 != t
+  // (so every key races three inserters) in its own order. Every fourth key
+  // takes a caller-supplied hash that shares its low 32 bits -- the stored
+  // fingerprint and the probe start -- with all the others, so those keys
+  // are told apart only by their bytes.
+  constexpr int kThreads = 4;
+  constexpr std::uint32_t kKeys = 40'000;
+  auto key_of = [](std::uint32_t k) {
+    std::vector<std::uint8_t> key(4 + k % 9);
+    for (std::size_t j = 0; j < key.size(); ++j)
+      key[j] = static_cast<std::uint8_t>((k >> (8 * (j % 4))) + j * 7);
+    return key;
+  };
+  auto hash_of = [](std::uint32_t k, std::span<const std::uint8_t> key) {
+    const std::uint64_t h = explore::ShardedVisitedSet::hash_key(key);
+    return k % 4 == 0 ? (h & ~std::uint64_t{0xffffffff}) | 0x5eed : h;
+  };
+  explore::ShardedVisitedSet set;  // default-constructed: grows many times
+  std::vector<std::vector<std::uint32_t>> won(kThreads);
+  {
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        std::mt19937 rng(static_cast<unsigned>(t) + 1);
+        std::vector<std::uint32_t> mine;
+        for (std::uint32_t k = 0; k < kKeys; ++k)
+          if (static_cast<int>(k % kThreads) != t) mine.push_back(k);
+        std::shuffle(mine.begin(), mine.end(), rng);
+        for (const std::uint32_t k : mine) {
+          const auto key = key_of(k);
+          if (set.insert(key, hash_of(k, key)))
+            won[static_cast<std::size_t>(t)].push_back(k);
+        }
+      });
+    }
+    for (std::thread& t : ts) t.join();
+  }
+  std::vector<int> wins(kKeys, 0);
+  for (const auto& w : won)
+    for (const std::uint32_t k : w) ++wins[k];
+  for (std::uint32_t k = 0; k < kKeys; ++k)
+    ASSERT_EQ(wins[k], 1) << "key " << k;
+  EXPECT_EQ(set.size(), kKeys);
+  std::map<std::string, int> seen;
+  set.for_each_key([&](std::span<const std::uint8_t> key) {
+    ++seen[std::string(key.begin(), key.end())];
+  });
+  EXPECT_EQ(seen.size(), kKeys);
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    const auto key = key_of(k);
+    EXPECT_EQ(seen[std::string(key.begin(), key.end())], 1);
+  }
+  // a second pass from one thread finds everything
+  for (std::uint32_t k = 0; k < kKeys; ++k) {
+    const auto key = key_of(k);
+    EXPECT_FALSE(set.insert(key, hash_of(k, key)));
+  }
+  EXPECT_GT(set.approx_bytes(), 0u);
+}
+
+TEST(ConcurrentStore, StripedCompressorRoundTripsFromManyThreads) {
+  // Random states over a narrow value range, so components recur across
+  // threads and every stripe's table grows while others read it. Each
+  // thread decompresses its keys as it goes -- the lock-free read path --
+  // and re-compresses the result.
+  const BridgeModel b = make_bridge(/*v2=*/false);
+  const kernel::Layout& lay = b.m->layout();
+  constexpr int kThreads = 4;
+  constexpr int kStates = 3000;
+  std::vector<State> states;
+  std::mt19937_64 rng(23);
+  for (int i = 0; i < kStates; ++i) {
+    State s;
+    s.mem.resize(static_cast<std::size_t>(lay.size()));
+    for (kernel::Value& v : s.mem) v = static_cast<kernel::Value>(rng() % 3);
+    s.atomic_pid = static_cast<int>(rng() % 3) - 1;
+    states.push_back(std::move(s));
+  }
+  StateCompressor c(lay, /*stripes=*/16, /*expected_components=*/0);
+  std::vector<std::vector<std::vector<std::uint8_t>>> keys(
+      kThreads, std::vector<std::vector<std::uint8_t>>(kStates));
+  {
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        std::vector<std::uint8_t> rekey;
+        State back;
+        std::vector<std::uint32_t> ids(static_cast<std::size_t>(c.n_regions()));
+        for (int j = 0; j < kStates; ++j) {
+          // each thread walks the states from a different offset
+          const std::size_t i =
+              static_cast<std::size_t>((j + t * kStates / kThreads) % kStates);
+          auto& key = keys[static_cast<std::size_t>(t)][i];
+          c.compress(states[i], key);
+          c.decompress(key, back, ids.data());
+          EXPECT_EQ(back, states[i]);
+          c.compress(back, rekey);
+          EXPECT_EQ(rekey, key);
+        }
+      });
+    }
+    for (std::thread& t : ts) t.join();
+  }
+  // every thread got the same key for a state, and keys are equal exactly
+  // when states are
+  std::map<std::string, std::size_t> owner;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    for (int t = 1; t < kThreads; ++t)
+      EXPECT_EQ(keys[static_cast<std::size_t>(t)][i], keys[0][i]);
+    auto [it, fresh] =
+        owner.emplace(std::string(keys[0][i].begin(), keys[0][i].end()), i);
+    if (!fresh) {
+      EXPECT_EQ(states[it->second], states[i]);
+    }
+  }
+  std::set<State, bool (*)(const State&, const State&)> distinct(
+      [](const State& x, const State& y) {
+        return std::tie(x.mem, x.atomic_pid) < std::tie(y.mem, y.atomic_pid);
+      });
+  for (const State& s : states) distinct.insert(s);
+  EXPECT_EQ(owner.size(), distinct.size());
+}
+
 // -- flat stores -------------------------------------------------------------
 
 std::vector<std::uint8_t> random_key(std::mt19937_64& rng) {
@@ -246,7 +379,7 @@ TEST(FlatStore, KeyArenaRoundTripsAcrossSlabs) {
   explore::KeyArena arena;
   std::mt19937_64 rng(11);
   std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>> recs;
-  // ~3000 * ~150 B crosses the 256 KiB slab boundary several times.
+  // ~3000 * ~150 B spans the first slabs (64, 128 and 256 KiB).
   for (int i = 0; i < 3000; ++i) {
     std::vector<std::uint8_t> key = random_key(rng);
     recs.emplace_back(arena.append(key), std::move(key));

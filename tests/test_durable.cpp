@@ -174,7 +174,9 @@ TEST(Spill, ExplorationBelowBudgetCompletesExactly) {
     // spill_bytes counts whole post-spill slabs; the parallel store's
     // per-stripe arenas may legitimately never need a second slab on a
     // model this small, so the byte assertion is sequential-only
-    if (threads == 1) EXPECT_GT(r.stats.spill_bytes, 0u);
+    if (threads == 1) {
+      EXPECT_GT(r.stats.spill_bytes, 0u);
+    }
     EXPECT_EQ(r.stats.states_stored, ref.stats.states_stored)
         << "threads=" << threads;
   }

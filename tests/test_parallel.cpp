@@ -3,12 +3,21 @@
 // complete exact runs -- the same reached-state count, across the deadlock,
 // invariant, and LTL suites. Trail contents may differ; verdicts may not.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
+#include <string>
 
 #include "adl/adl.h"
+#include "codegen/engine.h"
+#include "explore/checkpoint.h"
 #include "explore/explorer.h"
 #include "kernel/machine.h"
 #include "ltl/product.h"
 #include "model/builder.h"
+#include "obs/obs.h"
+#include "pml/parser.h"
 #include "pnp/pnp.h"
 
 namespace pnp::explore {
@@ -123,6 +132,8 @@ TEST(ParallelExact, PerWorkerCountersSumToMergedTotals) {
   const kernel::Machine m = f.machine();
   Options opt;
   opt.invariant = f.invariant;
+  obs::Observer ob;
+  opt.obs = &ob;
   const Result r = explore_at(m, opt, 4);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.stats.threads, 4);
@@ -137,6 +148,15 @@ TEST(ParallelExact, PerWorkerCountersSumToMergedTotals) {
   EXPECT_EQ(stored + 1, r.stats.states_stored);
   EXPECT_EQ(matched, r.stats.states_matched);
   EXPECT_EQ(transitions, r.stats.transitions);
+  // the workers' counter blocks merge to the same totals, and the key path
+  // is published like the sequential engine's: the root is compressed in
+  // full, every successor (the model has no assertions) by delta
+  const obs::Recorder& rec = ob.recorder();
+  EXPECT_EQ(rec.total(obs::Counter::StatesStored), r.stats.states_stored);
+  EXPECT_EQ(rec.total(obs::Counter::StatesMatched), r.stats.states_matched);
+  EXPECT_EQ(rec.total(obs::Counter::Transitions), r.stats.transitions);
+  EXPECT_EQ(rec.total(obs::Counter::CompressFull), 1u);
+  EXPECT_EQ(rec.total(obs::Counter::CompressDelta), r.stats.transitions);
 }
 
 // -- deadlock suite -----------------------------------------------------------
@@ -269,6 +289,195 @@ TEST(ParallelExact, MaxStatesTruncationIsReported) {
     EXPECT_FALSE(r.stats.complete);
     EXPECT_EQ(r.stats.truncation, TruncationReason::MaxStates);
   }
+}
+
+// -- channel-heavy model: engines, search order, resume ------------------------
+
+/// Two relay pipelines over buffered two-field channels plus a rendezvous
+/// hand-off into a shared tally: most steps move a message, so successors
+/// dirty channel regions as well as process frames. 34,749 states.
+constexpr const char* kChannelModel = R"(
+chan a1 = [2] of { byte, byte };
+chan a2 = [2] of { byte, byte };
+chan b1 = [1] of { byte, byte };
+chan r = [0] of { byte };
+byte tally;
+
+active proctype SourceA() {
+  byte i = 0;
+  do
+  :: i < 3 -> a1!i,i+1; i++
+  :: i >= 3 -> break
+  od
+}
+
+active proctype RelayA() {
+  byte v; byte w;
+  end: do
+  :: a1?v,w -> a2!w,v
+  od
+}
+
+active proctype SinkA() {
+  byte v; byte w; byte n = 0;
+  do
+  :: n < 3 -> a2?v,w; assert(w + 1 == v); n++; tally++
+  :: n >= 3 -> break
+  od
+}
+
+active proctype SourceB() {
+  byte i = 0;
+  do
+  :: i < 2 -> b1!i,0; i++
+  :: i >= 2 -> break
+  od
+}
+
+active proctype RelayB() {
+  byte v; byte w; byte n = 0;
+  do
+  :: n < 2 -> b1?v,w; r!v; n++
+  :: n >= 2 -> break
+  od
+}
+
+active proctype Taker() {
+  byte v;
+  end: do
+  :: r?v -> tally++
+  od
+}
+)";
+
+struct ChannelModel {
+  SystemSpec sys = pml::parse(kChannelModel);
+  expr::Ref invariant = pml::parse_global_expr(sys, "tally <= 5");
+  kernel::Machine m{sys};
+};
+
+/// Complete exact runs agree on every total: each reachable state is stored
+/// once and expanded once, whatever the engine, search order or threads.
+void expect_same_totals(const Result& r, const Result& ref,
+                        const std::string& what) {
+  EXPECT_TRUE(r.ok()) << what;
+  EXPECT_TRUE(r.stats.complete) << what;
+  EXPECT_EQ(r.stats.states_stored, ref.stats.states_stored) << what;
+  EXPECT_EQ(r.stats.states_matched, ref.stats.states_matched) << what;
+  EXPECT_EQ(r.stats.transitions, ref.stats.transitions) << what;
+}
+
+TEST(ParallelExact, ChannelModelTotalsMatchAcrossEnginesThreadsAndOrder) {
+  const ChannelModel cm;
+  codegen::EngineOptions eo;
+  eo.kind = codegen::EngineKind::Bytecode;
+  const auto bytecode = codegen::make_engine(cm.m, eo);
+  ASSERT_NE(bytecode, nullptr);
+  Options opt;
+  opt.invariant = cm.invariant;
+  const Result ref = explore_at(cm.m, opt, 1);
+  ASSERT_TRUE(ref.ok());
+  ASSERT_EQ(ref.stats.states_stored, 34749u);
+  for (const codegen::Engine* engine :
+       {static_cast<const codegen::Engine*>(nullptr),
+        static_cast<const codegen::Engine*>(bytecode.get())}) {
+    for (const bool bfs : {false, true}) {
+      for (const int t : {1, 2, 4}) {
+        Options o = opt;
+        o.engine = engine;
+        o.bfs = bfs;
+        const std::string what =
+            std::string(engine ? "bytecode" : "interp") +
+            (bfs ? " bfs" : " dfs") + " threads=" + std::to_string(t);
+        expect_same_totals(explore_at(cm.m, o, t), ref, what);
+      }
+    }
+  }
+}
+
+TEST(ParallelExact, ResumedChannelModelMatchesAtEveryThreadCount) {
+  // Cut at a stored-state limit with one thread count, resume with another:
+  // the resumed frontier is keyed in full, then searched by delta like any
+  // other item, and the totals still equal one uninterrupted search.
+  const ChannelModel cm;
+  Options opt;
+  opt.invariant = cm.invariant;
+  const Result ref = explore_at(cm.m, opt, 1);
+  ASSERT_TRUE(ref.ok());
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pnp_parallel_resume_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  for (const bool bfs : {false, true}) {
+    for (const int cut_threads : {1, 4}) {
+      for (const int t : {1, 2, 4}) {
+        Options o = opt;
+        o.bfs = bfs;
+        o.checkpoint_path = path;
+        o.config_digest = "channel-model";
+        Options cut = o;
+        cut.max_states = 5000;
+        const Result first = explore_at(cm.m, cut, cut_threads);
+        ASSERT_FALSE(first.stats.complete);
+        const Checkpoint c = read_checkpoint(path);
+        ASSERT_FALSE(c.frontier.empty());
+        o.resume_from = &c;
+        const Result r = explore_at(cm.m, o, t);
+        EXPECT_TRUE(r.stats.resumed);
+        const std::string what = std::string(bfs ? "bfs" : "dfs") +
+                                 " cut at threads=" +
+                                 std::to_string(cut_threads) +
+                                 ", resumed at threads=" + std::to_string(t);
+        EXPECT_TRUE(r.ok()) << what;
+        EXPECT_TRUE(r.stats.complete) << what;
+        EXPECT_EQ(r.stats.states_stored, ref.stats.states_stored) << what;
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(ParallelExact, ApproxMemoryCoversParentEdgesAndFrontier) {
+  // Every step of this model moves a three-field message, and every stored
+  // state but the root keeps a parent edge: the edge and the heap payload
+  // of its Step must both be in the memory estimate the budget reads.
+  constexpr const char* kMessages = R"(
+chan c1 = [4] of { byte, byte, byte };
+chan c2 = [4] of { byte, byte, byte };
+chan c3 = [4] of { byte, byte, byte };
+active proctype P1() { end: do :: c1!1,2,3 od }
+active proctype Q1() { byte a, b, d; end: do :: c1?a,b,d od }
+active proctype P2() { end: do :: c2!1,2,3 od }
+active proctype Q2() { byte a, b, d; end: do :: c2?a,b,d od }
+active proctype P3() { end: do :: c3!1,2,3 od }
+active proctype Q3() { byte a, b, d; end: do :: c3?a,b,d od }
+)";
+  SystemSpec sys = pml::parse(kMessages);
+  const kernel::Machine m(sys);
+  Options opt;
+  const Result r = explore_at(m, opt, 4);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r.stats.complete);
+  ASSERT_GT(r.stats.states_stored, 100u);
+  const std::uint64_t edge_floor =
+      sizeof(std::uint64_t) + sizeof(kernel::Step) + 3 * sizeof(kernel::Value);
+  EXPECT_GE(r.stats.approx_memory_bytes,
+            r.stats.store_bytes + (r.stats.states_stored - 1) * edge_floor);
+
+  // A checkpointing run interrupted at once keeps its root item queued for
+  // the final checkpoint: the queued item counts.
+  std::atomic<bool> interrupt{true};
+  Options stopped;
+  stopped.want_trace = false;
+  stopped.interrupt = &interrupt;
+  stopped.checkpoint_path =
+      (std::filesystem::temp_directory_path() /
+       ("pnp_parallel_memory_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  const Result cut = explore_at(m, stopped, 4);
+  std::filesystem::remove(stopped.checkpoint_path);
+  EXPECT_EQ(cut.stats.truncation, TruncationReason::Interrupted);
+  EXPECT_GT(cut.stats.approx_memory_bytes, cut.stats.store_bytes);
 }
 
 // -- swarm (bitstate) suite ---------------------------------------------------

@@ -151,8 +151,9 @@ TEST(ServeProto, EngineKeyRoundTripsAndRejectsUnknown) {
     req.model_text = "architecture a {}";
     req.config.engine = kind;
     const std::string frame = render_submit(req);
-    if (kind == codegen::EngineKind::Interp)
+    if (kind == codegen::EngineKind::Interp) {
       EXPECT_EQ(frame.find("\"engine\""), std::string::npos) << frame;
+    }
     JobRequest back;
     std::string err;
     ASSERT_TRUE(parse_request(frame, back, &err)) << err;
