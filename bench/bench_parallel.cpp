@@ -14,7 +14,11 @@
 // bytes_per_state against the committed baseline, and the relay_exact
 // 4-thread vs 1-thread speedup on machines with 4 or more hardware
 // threads) and uploaded as the CI bench artifact. hw_threads, the
-// machine's hardware thread count, is in every row.
+// machine's hardware thread count, is in every row. Every row but one
+// runs without counterexample trails and divides the visited store's
+// bytes; relay_trail runs relay_mesh with trails on, as Session and pnpv
+// do, and divides the whole search estimate (store, trail edges and
+// frontier).
 // The serve_rtt row measures the warm-cache round-trip latency of an
 // in-process pnpd (scripts/bench.sh gates its warm_hit_rate).
 #include <algorithm>
@@ -45,14 +49,14 @@ struct Row {
   std::string bench;
   int threads{1};
   std::uint64_t states{0};
-  std::uint64_t store_bytes{0};
+  std::uint64_t bytes{0};  // visited store, or the whole estimate (relay_trail)
   double wall{0.0};
 
   double states_per_sec() const {
     return static_cast<double>(states) / std::max(wall, 1e-9);
   }
   double bytes_per_state() const {
-    return states > 0 ? static_cast<double>(store_bytes) /
+    return states > 0 ? static_cast<double>(bytes) /
                             static_cast<double>(states)
                       : 0.0;
   }
@@ -137,9 +141,10 @@ active proctype Sink$P() {
 }
 
 explore::Result run(const kernel::Machine& m, expr::Ref inv, int threads,
-                    bool bitstate, std::uint64_t max_states = 0) {
+                    bool bitstate, std::uint64_t max_states = 0,
+                    bool want_trace = false) {
   explore::Options opt;
-  opt.want_trace = false;
+  opt.want_trace = want_trace;
   opt.invariant = inv;
   opt.invariant_name = "safety";
   opt.threads = threads;
@@ -226,6 +231,20 @@ int main(int argc, char** argv) {
                       r.stats.store_bytes, r.stats.seconds});
     }
     if (!quick) ok = ok && relay_states == 1'188'100;
+    // relay_trail: the same search with trails on, at the thread count
+    // the benchmark's Session runs use; every stored state but the root
+    // then keeps a trail edge, which approx_memory_bytes counts.
+    const int t = std::min(hw, 4);
+    explore::Result r;
+    for (int rep = 0; rep < timing_reps; ++rep) {
+      explore::Result attempt = run(rm, relay_inv, t, false, 0, true);
+      ok = ok && attempt.ok() && attempt.stats.complete &&
+           attempt.stats.states_stored == relay_states;
+      if (rep == 0 || attempt.stats.seconds < r.stats.seconds)
+        r = std::move(attempt);
+    }
+    rows.push_back({"relay_trail", t, r.stats.states_stored,
+                    r.stats.approx_memory_bytes, r.stats.seconds});
   }
   {
     const int t = quick ? 2 : std::min(hw, 4);

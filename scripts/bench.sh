@@ -149,7 +149,9 @@ gate_serve() {
 }
 
 # Memory gate against the committed baseline: bytes/state is deterministic
-# for the exact engines, so any >10% growth is a real regression.
+# for the exact engines, so any >10% growth is a real regression. The
+# relay_trail row divides the whole search estimate (store, trail edges,
+# frontier) of a traced run, so the gate also covers what trails cost.
 gate_bytes() {
   awk '
     /"bytes_per_state"/ {

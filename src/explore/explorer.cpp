@@ -12,6 +12,7 @@
 #include "explore/checkpoint.h"
 #include "explore/por.h"
 #include "explore/succ_key.h"
+#include "explore/trail.h"
 #include "explore/visited.h"
 #include "kernel/compress.h"
 #include "support/hash.h"
@@ -571,11 +572,14 @@ class FlatRun {
     return r;
   }
 
+  /// A BFS node keeps its trail edge: the parent's index (-1 for the root
+  /// and resumed frontier states) and its ordinal in the parent's
+  /// successor stream (explore/trail.h).
   struct BfsNode {
     State state;
     std::vector<std::uint32_t> ids;  // per-region component ids (exact mode)
     std::int64_t parent;
-    Step in_step;
+    std::uint32_t ordinal;
   };
 
   class BfsSink final : public kernel::SuccSink {
@@ -583,15 +587,13 @@ class FlatRun {
     BfsSink(FlatRun& run, std::int64_t head) : run_(run), head_(head) {}
 
     bool on_successor(const State& ns, const Step& step) override {
-      ++count;
-      return run_.bfs_candidate(ns, step, head_, *this);
+      return run_.bfs_candidate(ns, step, head_, count++, *this);
     }
 
     std::uint32_t count = 0;
     bool violated = false;
     Violation violation;
-    State vstate;
-    Step vstep;
+    std::uint32_t vordinal = 0;  // the assert step's ordinal
 
    private:
     FlatRun& run_;
@@ -599,13 +601,12 @@ class FlatRun {
   };
 
   bool bfs_candidate(const State& ns, const Step& step, std::int64_t head,
-                     BfsSink& sink) {
+                     std::uint32_t ordinal, BfsSink& sink) {
     ++transitions_;
     if (step.assert_failed) {
       sink.violation.kind = ViolationKind::AssertFailed;
       sink.violation.message = "assertion failed: " + m_.describe_step(step);
-      sink.vstate = ns;
-      sink.vstep = step;
+      sink.vordinal = ordinal;
       sink.violated = true;
       return false;
     }
@@ -622,30 +623,28 @@ class FlatRun {
     nodes_.push_back({State(ns),
                       opt_.bitstate ? std::vector<std::uint32_t>()
                                     : keyer_.ids(),
-                      head, step});
+                      head, ordinal});
     return true;
+  }
+
+  /// Trail to node `i` (plus the assert step `extra` beyond it): the
+  /// ordinals back to its chain start, replayed forward from that node's
+  /// state.
+  trace::Trace bfs_trace(std::int64_t i,
+                         std::optional<std::uint32_t> extra) const {
+    if (!opt_.want_trace) return {};
+    std::vector<std::uint32_t> ordinals;
+    if (extra) ordinals.push_back(*extra);
+    for (; nodes_[static_cast<std::size_t>(i)].parent >= 0;
+         i = nodes_[static_cast<std::size_t>(i)].parent)
+      ordinals.push_back(nodes_[static_cast<std::size_t>(i)].ordinal);
+    std::reverse(ordinals.begin(), ordinals.end());
+    return replay_trail(m_, opt_, nodes_[static_cast<std::size_t>(i)].state,
+                        ordinals);
   }
 
   Result bfs() {
     Result r;
-    auto build_trace = [&](std::int64_t i, const Step* extra_step,
-                           const State* extra_state) {
-      trace::Trace t;
-      if (!opt_.want_trace) return t;
-      std::vector<trace::TraceStep> rev;
-      for (std::int64_t j = i; j > 0;
-           j = nodes_[static_cast<std::size_t>(j)].parent)
-        rev.push_back({nodes_[static_cast<std::size_t>(j)].in_step,
-                       m_.describe_step(
-                           nodes_[static_cast<std::size_t>(j)].in_step)});
-      t.steps.assign(rev.rbegin(), rev.rend());
-      if (extra_step)
-        t.steps.push_back({*extra_step, m_.describe_step(*extra_step)});
-      t.final_state = m_.format_state(
-          extra_state ? *extra_state
-                      : nodes_[static_cast<std::size_t>(i)].state);
-      return t;
-    };
 
     if (opt_.resume_from != nullptr) {
       // Resumed search: frontier states re-enter the queue as parentless
@@ -653,14 +652,14 @@ class FlatRun {
       // checkpointed frontier state rather than the initial state.
       seed_resume();
       for (Checkpoint::Pending& p : seeds_) {
-        BfsNode n{std::move(p.state), {}, -1, {}};
+        BfsNode n{std::move(p.state), {}, -1, 0};
         keyer_.full(n.state);
         n.ids = keyer_.ids();
         nodes_.push_back(std::move(n));
       }
       seeds_.clear();
     } else {
-      BfsNode root{m_.initial(), {}, -1, {}};
+      BfsNode root{m_.initial(), {}, -1, 0};
       visited_.insert(root_key(root.state));
       if (!opt_.bitstate) root.ids = keyer_.ids();
       nodes_.push_back(std::move(root));
@@ -685,31 +684,25 @@ class FlatRun {
       maybe_checkpoint();
       if (auto v = invariant_violation(
               m_, opt_, nodes_[static_cast<std::size_t>(head)].state)) {
-        v->trace = build_trace(head, nullptr, nullptr);
+        v->trace = bfs_trace(head, std::nullopt);
         r.violation = std::move(*v);
         return r;
       }
       // Deque references survive push_back, so streaming new nodes into
-      // nodes_ while expanding the head is safe.
+      // nodes_ while expanding the head is safe. Under POR, the
+      // proviso-free ample choice.
       const State& hs = nodes_[static_cast<std::size_t>(head)].state;
       BfsSink sink(*this, head);
-      if (opt_.por) {
-        const int choice = por_choose(m_, hs, nullptr, scratch_, opt_.engine);
-        if (choice >= 0) ++por_ample_;
-        por_visit(m_, hs, choice, scratch_, sink, opt_.engine);
-      } else if (opt_.engine)
-        opt_.engine->visit_successors(hs, scratch_, sink);
-      else
-        m_.visit_successors(hs, scratch_, sink);
+      if (visit_expansion(m_, opt_, hs, scratch_, sink) >= 0) ++por_ample_;
       if (sink.violated) {
-        sink.violation.trace = build_trace(head, &sink.vstep, &sink.vstate);
+        sink.violation.trace = bfs_trace(head, sink.vordinal);
         r.violation = std::move(sink.violation);
         return r;
       }
       if (sink.count == 0) {
         if (auto v = terminal_violation(
                 m_, opt_, nodes_[static_cast<std::size_t>(head)].state)) {
-          v->trace = build_trace(head, nullptr, nullptr);
+          v->trace = bfs_trace(head, std::nullopt);
           r.violation = std::move(*v);
           return r;
         }

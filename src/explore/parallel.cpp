@@ -12,9 +12,11 @@
 // compression against their parent's region ids (SuccKeyer, the same path
 // the sequential engine takes). A queued state is just its compressed key
 // -- its region ids and atomic pid -- decompressed when it is popped.
-// Counterexamples are reconstructed from per-worker parent-edge arenas
-// after the winning worker flags a violation, so trails stay exact (their
-// shape may differ run to run; the verdict may not).
+// With traces on, every stored state keeps one 16-byte trail edge (parent
+// id, successor ordinal) in its worker's EdgeLog; after a violation the
+// trail is replayed from its chain's start state (explore/trail.h), so it
+// is exactly the path the search took (its shape may differ run to run;
+// the verdict may not).
 //
 // Atomic regions and rendezvous handshakes never interleave across workers
 // by construction: Machine::visit_successors() expands a whole state at a
@@ -40,8 +42,8 @@
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
 #include "explore/explorer.h"
-#include "explore/por.h"
 #include "explore/succ_key.h"
+#include "explore/trail.h"
 #include "explore/visited.h"
 #include "kernel/compress.h"
 #include "support/hash.h"
@@ -105,27 +107,20 @@ class ParallelRun {
   /// A pending state, held as its compressed key: the varint region ids
   /// plus the atomic pid, which decompress() turns back into the state and
   /// the ids its successors delta against. Keys of up to 15 bytes live
-  /// inline in the string. `gid` indexes the parent-edge arena entry
-  /// recorded for it (kNoGid for the root, or always when traces are off);
-  /// `depth` is the BFS/DFS depth for max_depth accounting.
+  /// inline in the string. `gid` names its trail edge, or its chain start
+  /// for the root and resumed frontier states (kNoGid when traces are
+  /// off); `depth` is the BFS/DFS depth for max_depth accounting.
   struct Item {
     std::string key;
     std::uint64_t gid = kNoGid;
     std::uint32_t depth = 0;
   };
 
-  /// Parent edge for counterexample reconstruction. Owner-written during the
-  /// search, read only after all workers joined.
-  struct Node {
-    std::uint64_t parent = kNoGid;
-    Step in_step;
-  };
-
   struct alignas(64) Worker {
     std::mutex mu;
     std::deque<Item> queue;
     std::atomic<std::size_t> queued{0};  // queue.size(), readable unlocked
-    std::deque<Node> nodes;  // stable addresses; grows only
+    EdgeLog edges;  // trail edges: owner-written, read after the join
     WorkerStats stats;
     std::uint64_t budget_tick = 0;
     kernel::SuccScratch scratch;         // mutate-and-revert workspace
@@ -136,8 +131,8 @@ class ParallelRun {
     std::uint64_t obs_tick = 0;
     std::uint64_t por_ample = 0;
     std::uint64_t unpublished = 0;  // fresh stores not yet in stored_floor_
-    // Parent-edge footprint (nodes plus their Step message payloads):
-    // owner-written, read by the memory-budget check on any worker.
+    // edges.bytes(): owner-written as chunks are added, read by the
+    // memory-budget check on any worker.
     std::atomic<std::uint64_t> edge_bytes{0};
     // Stored-but-never-queued states (max_states/max_depth), kept so a
     // final checkpoint's frontier is exactly where this run stopped.
@@ -148,13 +143,28 @@ class ParallelRun {
   /// workers joined.
   struct Win {
     Violation violation;
-    std::uint64_t gid = kNoGid;      // node of the state being expanded
-    std::optional<Step> extra_step;  // assert step beyond that state, if any
-    State final_state;
+    std::uint64_t gid = kNoGid;  // the state being expanded
+    std::optional<std::uint32_t> extra;  // ordinal of an assert step beyond
   };
 
-  static std::uint64_t make_gid(int w, std::uint64_t index) {
-    return (static_cast<std::uint64_t>(w) << 40) | index;
+  /// Trail ids: (owner << 40) | index, where owners 0..n-1 are the workers'
+  /// edge logs and owner n is the chain-start list starts_.
+  static std::uint64_t make_gid(int owner, std::uint64_t index) {
+    return (static_cast<std::uint64_t>(owner) << 40) | index;
+  }
+  static int gid_owner(std::uint64_t gid) { return static_cast<int>(gid >> 40); }
+  static std::uint64_t gid_index(std::uint64_t gid) {
+    return gid & ((std::uint64_t{1} << 40) - 1);
+  }
+
+  /// Registers a parentless state as a trail chain start; returns its gid,
+  /// or kNoGid when traces are off.
+  std::uint64_t add_start(const std::string& key) {
+    if (!opt_.want_trace) return kNoGid;
+    starts_.push_back(key);
+    start_bytes_ += sizeof(std::string) +
+                    (key.size() > std::string().capacity() ? key.size() + 1 : 0);
+    return make_gid(n_, starts_.size() - 1);
   }
 
   static std::string key_string(std::span<const std::uint8_t> key) {
@@ -170,13 +180,15 @@ class ParallelRun {
     if (opt_.obs != nullptr)
       opt_.obs->recorder().add(obs::Counter::StatesStored, 1);
     stored_floor_.store(1, std::memory_order_relaxed);
-    push(w0, {key_string(key), kNoGid, 0});
+    std::string k = key_string(key);
+    const std::uint64_t gid = add_start(k);
+    push(w0, {std::move(k), gid, 0});
   }
 
   /// Re-seeds the shared store from a checkpoint and deals the frontier
-  /// round-robin across the workers' queues. Frontier items are parentless
-  /// (gid == kNoGid): a trail found after resume starts at a checkpointed
-  /// frontier state. Their keys come from full compression -- there are no
+  /// round-robin across the workers' queues. Frontier items are chain
+  /// starts: a trail found after resume starts at a checkpointed frontier
+  /// state. Their keys come from full compression -- there are no
   /// parent ids to delta against -- and once popped they delta like any
   /// other item.
   void seed_resume() {
@@ -191,10 +203,12 @@ class ParallelRun {
     ckpt_seq_ = c.meta.seq;
     stored_floor_.store(visited_.size(), std::memory_order_relaxed);
     last_ckpt_states_.store(visited_.size(), std::memory_order_relaxed);
-    for (std::size_t i = 0; i < c.frontier.size(); ++i)
+    for (std::size_t i = 0; i < c.frontier.size(); ++i) {
+      std::string k = key_string(keyer.full(c.frontier[i].state));
+      const std::uint64_t gid = add_start(k);
       push(workers_[i % static_cast<std::size_t>(n_)],
-           {key_string(keyer.full(c.frontier[i].state)), kNoGid,
-            c.frontier[i].depth});
+           {std::move(k), gid, c.frontier[i].depth});
+    }
     if (opt_.obs != nullptr) {
       // Restored states are nobody's WorkerStats; charge them to the base
       // block so the merged StatesStored total matches visited_.size().
@@ -520,9 +534,10 @@ class ParallelRun {
   }
 
   std::uint64_t approx_memory() const {
-    // Store + frontier + parent edges, estimated from atomic counters only
-    // (per-worker containers are not safely readable cross-thread).
-    std::uint64_t bytes = store_bytes();
+    // Store + frontier + trail edges and chain starts, estimated from
+    // atomic counters only (per-worker containers are not safely readable
+    // cross-thread).
+    std::uint64_t bytes = store_bytes() + start_bytes_;
     for (const Worker& w : workers_)
       bytes += w.queued.load(std::memory_order_relaxed) * item_bytes() +
                w.edge_bytes.load(std::memory_order_relaxed);
@@ -582,16 +597,11 @@ class ParallelRun {
   }
 
   void record_violation(Violation v, std::uint64_t gid,
-                        const Step* extra_step, const State& final_state) {
+                        std::optional<std::uint32_t> extra) {
     {
       std::lock_guard<std::mutex> lock(win_mu_);
       if (winner_) return;  // first worker wins; verdict is the same either way
-      Win win;
-      win.violation = std::move(v);
-      win.gid = gid;
-      if (extra_step) win.extra_step = *extra_step;
-      win.final_state = final_state;
-      winner_ = std::move(win);
+      winner_ = Win{std::move(v), gid, extra};
     }
     stop_.store(true, std::memory_order_release);
   }
@@ -609,9 +619,8 @@ class ParallelRun {
         aborted = true;
         return false;
       }
-      ++produced;
       ++me_.stats.transitions;
-      return run_.par_candidate(ns, step, w_, me_, item_, *this);
+      return run_.par_candidate(ns, step, produced++, w_, me_, item_, *this);
     }
 
     std::uint32_t produced = 0;
@@ -624,13 +633,13 @@ class ParallelRun {
     const Item& item_;
   };
 
-  bool par_candidate(const State& ns, const Step& step, int w, Worker& me,
-                     const Item& item, ParSink& sink) {
+  bool par_candidate(const State& ns, const Step& step, std::uint32_t ordinal,
+                     int w, Worker& me, const Item& item, ParSink& sink) {
     if (step.assert_failed) {
       Violation v;
       v.kind = ViolationKind::AssertFailed;
       v.message = "assertion failed: " + m_.describe_step(step);
-      record_violation(std::move(v), item.gid, &step, ns);
+      record_violation(std::move(v), item.gid, ordinal);
       sink.aborted = true;
       return false;
     }
@@ -657,12 +666,10 @@ class ParallelRun {
     }
     Item next{key_string(key), kNoGid, item.depth + 1};
     if (opt_.want_trace) {
-      next.gid = make_gid(w, me.nodes.size());
-      me.nodes.push_back({item.gid, step});
-      me.edge_bytes.store(me.edge_bytes.load(std::memory_order_relaxed) +
-                              sizeof(Node) +
-                              step.event.msg.size() * sizeof(kernel::Value),
-                          std::memory_order_relaxed);
+      const std::uint64_t index = me.edges.push({item.gid, ordinal});
+      next.gid = make_gid(w, index);
+      if (index % EdgeLog::kChunkEdges == 0)
+        me.edge_bytes.store(me.edges.bytes(), std::memory_order_relaxed);
     }
     push(me, std::move(next));
     return true;
@@ -682,27 +689,20 @@ class ParallelRun {
     // Invariant first: generation has no side effects and the check reads
     // only the state, so the verdict matches the materializing engine's.
     if (auto v = invariant_violation(s)) {
-      record_violation(std::move(*v), item.gid, nullptr, s);
+      record_violation(std::move(*v), item.gid, std::nullopt);
       return;
     }
     ParSink sink(*this, w, me, item);
-    if (opt_.por) {
-      // BFS-style ample choice (no cycle proviso): a pure function of the
-      // state, so the reduced graph -- and the reached-state count -- does
-      // not depend on thread count or interleaving.
-      const int choice = por_choose(m_, s, nullptr, me.scratch, opt_.engine);
-      if (choice >= 0) ++me.por_ample;
-      por_visit(m_, s, choice, me.scratch, sink, opt_.engine);
-    } else if (opt_.engine) {
-      opt_.engine->visit_successors(s, me.scratch, sink);
-    } else {
-      m_.visit_successors(s, me.scratch, sink);
-    }
+    // Under POR, the BFS-style ample choice (no cycle proviso): a pure
+    // function of the state, so the reduced graph -- and the reached-state
+    // count -- does not depend on thread count or interleaving, and a trail
+    // replay regenerates the same successor stream.
+    if (visit_expansion(m_, opt_, s, me.scratch, sink) >= 0) ++me.por_ample;
     // Zero successors means a terminal state -- unless the pass was cut
     // short by a stop flag, in which case the count is not trustworthy.
     if (sink.produced == 0 && !sink.aborted) {
       if (auto v = terminal_violation(s))
-        record_violation(std::move(*v), item.gid, nullptr, s);
+        record_violation(std::move(*v), item.gid, std::nullopt);
     }
     // An aborted pass left successors ungenerated: requeue the item so the
     // final checkpoint re-expands it on resume (idempotent -- its explored
@@ -710,23 +710,25 @@ class ParallelRun {
     if (sink.aborted && ckpt_enabled()) push(me, std::move(item));
   }
 
+  /// Follows the winner's trail edges back to its chain start, then
+  /// replays the ordinals forward from the start's state.
   trace::Trace rebuild_trace(const Win& win) const {
-    trace::Trace t;
-    if (!opt_.want_trace) return t;
-    std::vector<const Step*> rev;
-    for (std::uint64_t gid = win.gid; gid != kNoGid;) {
-      const Worker& owner = workers_[static_cast<std::size_t>(gid >> 40)];
-      const Node& node =
-          owner.nodes[static_cast<std::size_t>(gid & ((std::uint64_t{1} << 40) - 1))];
-      rev.push_back(&node.in_step);
-      gid = node.parent;
+    if (!opt_.want_trace) return {};
+    std::vector<std::uint32_t> ordinals;
+    if (win.extra) ordinals.push_back(*win.extra);
+    std::uint64_t gid = win.gid;
+    while (gid_owner(gid) != n_) {
+      const TrailEdge& e =
+          workers_[static_cast<std::size_t>(gid_owner(gid))].edges[gid_index(gid)];
+      ordinals.push_back(e.ordinal);
+      gid = e.parent;
     }
-    for (auto it = rev.rbegin(); it != rev.rend(); ++it)
-      t.steps.push_back({**it, m_.describe_step(**it)});
-    if (win.extra_step)
-      t.steps.push_back({*win.extra_step, m_.describe_step(*win.extra_step)});
-    t.final_state = m_.format_state(win.final_state);
-    return t;
+    std::reverse(ordinals.begin(), ordinals.end());
+    return replay_trail(
+        m_, opt_,
+        compressor_.decompress(
+            byte_span(starts_[static_cast<std::size_t>(gid_index(gid))])),
+        ordinals);
   }
 
   Result finish() {
@@ -747,12 +749,13 @@ class ParallelRun {
       st.max_depth_reached =
           std::max(st.max_depth_reached, w.stats.max_depth_reached);
       st.workers.push_back(w.stats);
-      edge_bytes += w.edge_bytes.load(std::memory_order_relaxed);
+      edge_bytes += w.edges.bytes();
       queued += w.queue.size();
     }
     const std::uint64_t frontier_bytes = queued * item_bytes();
     st.store_bytes = store_bytes();
-    st.approx_memory_bytes = st.store_bytes + edge_bytes + frontier_bytes;
+    st.approx_memory_bytes =
+        st.store_bytes + edge_bytes + start_bytes_ + frontier_bytes;
     st.complete = complete_;
     st.truncation = truncation_;
     st.spilled = spilled_.load(std::memory_order_relaxed);
@@ -807,6 +810,11 @@ class ParallelRun {
 
   std::mutex win_mu_;
   std::optional<Win> winner_;
+
+  // Trail chain starts (the root, resumed frontier states) as compressed
+  // keys; written before the workers start, read-only after.
+  std::vector<std::string> starts_;
+  std::uint64_t start_bytes_ = 0;
 
   // -- durability state ------------------------------------------------------
   std::mutex spill_mu_;

@@ -56,6 +56,12 @@ explore::Options to_explore_options(const VerifyOptions& opt) {
   return eopt;
 }
 
+/// Smallest bitstate filter the ladder runs. Under a memory budget the
+/// filters (one per swarm worker) are capped at half of what the budget
+/// leaves after the observer, the other half staying for the search's
+/// frontier; a cap below this skips the rung.
+constexpr std::uint64_t kMinBitstateBytes = std::uint64_t{1} << 16;
+
 /// The degradation ladder. Stage 1 is the exact search. When it is
 /// truncated (max_states / deadline / memory budget) without reaching a
 /// verdict, stage 2 reruns with bitstate hashing and a widened filter: the
@@ -156,7 +162,7 @@ void run_ladder(const kernel::Machine& m, explore::Options eopt,
     // A rung that outgrew its memory budget but finished exactly on
     // disk-backed stores is its own ladder stage: still an exact verdict,
     // but the stage name records that durability did the saving.
-    out.stages.push_back({st.spilled ? name + "-spill" : name, st});
+    out.stages.push_back({st.spilled ? name + "-spill" : name, st, {}});
     if (ob == nullptr) return;
     const std::string trunc =
         st.complete ? std::string()
@@ -183,7 +189,35 @@ void run_ladder(const kernel::Machine& m, explore::Options eopt,
     eopt.resume_from = nullptr;
     eopt.bitstate = true;
     eopt.bitstate_bytes = opt.bitstate_bytes;
-    run_rung(prefix + (parallel ? "swarm-bitstate" : "bitstate"));
+    const std::string name = prefix + (parallel ? "swarm-bitstate" : "bitstate");
+    std::string note;
+    if (opt.memory_budget_bytes > 0) {
+      const std::uint64_t held = ob != nullptr ? ob->approx_bytes() : 0;
+      const std::uint64_t left = opt.memory_budget_bytes > held
+                                     ? opt.memory_budget_bytes - held
+                                     : 0;
+      const std::uint64_t filters =
+          static_cast<std::uint64_t>(explore::resolve_threads(opt.threads));
+      const std::uint64_t cap = left / 2 / filters;
+      if (cap < kMinBitstateBytes) {
+        VerifyStage skipped{name + "-skipped", {},
+                            "the memory budget leaves " + std::to_string(cap) +
+                                " bytes per filter, under the " +
+                                std::to_string(kMinBitstateBytes) +
+                                "-byte minimum"};
+        skipped.stats.complete = false;
+        skipped.stats.truncation = explore::TruncationReason::MemoryBudget;
+        out.stages.push_back(std::move(skipped));
+        return;
+      }
+      if (cap < eopt.bitstate_bytes) {
+        eopt.bitstate_bytes = cap;
+        note = "filter capped at " + std::to_string(cap) +
+               " bytes by the memory budget";
+      }
+    }
+    run_rung(name);
+    out.stages.back().note = std::move(note);
   }
 }
 
@@ -219,6 +253,7 @@ std::string SafetyOutcome::report() const {
       if (!st.stats.complete)
         os << " [truncated: "
            << explore::truncation_reason_name(st.stats.truncation) << "]";
+      if (!st.note.empty()) os << " (" << st.note << ")";
       os << "\n";
     }
   }

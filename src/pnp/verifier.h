@@ -46,7 +46,9 @@ struct VerifyOptions : ExecBudget {
   /// with bitstate hashing and a widened filter so the caller still gets
   /// high-coverage approximate answers instead of a silent partial result.
   bool degrade = true;
-  /// Bloom-filter size for the bitstate fallback stage.
+  /// Bloom-filter size for the bitstate fallback stage. Under a memory
+  /// budget the rung sizes its filters (one per swarm worker) to fit what
+  /// the budget leaves, or is skipped when not even a minimal filter fits.
   std::uint64_t bitstate_bytes = std::uint64_t{1} << 26;
   /// Minimize every proctype (ladder stage names gain a "minimized-"
   /// prefix, e.g. "minimized-exact"). The composed machine then explores
@@ -91,8 +93,12 @@ inline VerifyOptions bounded(std::uint64_t max_states) {
 
 /// One rung of the verification degradation ladder.
 struct VerifyStage {
-  std::string name;  // "exact"/"exact-parallel" or "bitstate"/"swarm-bitstate"
+  /// "exact"/"exact-parallel" or "bitstate"/"swarm-bitstate"; a rung that
+  /// did not run is named with a "-skipped" suffix.
+  std::string name;
   explore::Stats stats;
+  /// Why the rung was skipped or ran reduced (e.g. a budget-capped filter).
+  std::string note;
 };
 
 struct SafetyOutcome {
@@ -113,7 +119,8 @@ struct SafetyOutcome {
   std::string engine_note;
 
   bool passed() const { return result.ok(); }
-  /// True when the exact search was truncated and the bitstate rung ran.
+  /// True when the exact search was truncated and the ladder went on to
+  /// the bitstate rung (run, or skipped for want of memory: see stages).
   bool degraded() const { return stages.size() > 1; }
   /// Multi-line report: verdict, state counts, degradation stages, and the
   /// counterexample trace when the property failed.

@@ -1,10 +1,12 @@
 // Parallel-exploration determinism: the multi-threaded engines must return
 // the same verdict as the sequential one at every thread count, and -- for
 // complete exact runs -- the same reached-state count, across the deadlock,
-// invariant, and LTL suites. Trail contents may differ; verdicts may not.
+// invariant, and LTL suites. Trail contents may differ; verdicts may not,
+// and every trail must be a real path that replays on the interpreter.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -13,6 +15,7 @@
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
 #include "explore/explorer.h"
+#include "explore/trail.h"
 #include "kernel/machine.h"
 #include "ltl/product.h"
 #include "model/builder.h"
@@ -188,35 +191,53 @@ TEST(ParallelExact, DeadlockVerdictMatchesAcrossThreadCounts) {
   }
 }
 
+bool same_step(const kernel::Step& a, const kernel::Step& b) {
+  return a.pid == b.pid && a.trans == b.trans &&
+         a.partner_pid == b.partner_pid && a.partner_trans == b.partner_trans &&
+         a.event.kind == b.event.kind && a.event.chan == b.event.chan &&
+         a.event.msg == b.event.msg && a.assert_failed == b.assert_failed;
+}
+
+/// Replays `t` from `start` on the interpreter: every step must equal, in
+/// every Step field, a successor of the state reached so far, and carry
+/// that step's description; the trail must end in its reported final
+/// state. Returns the state reached, or nullopt when the trail is not a
+/// path from `start`.
+std::optional<kernel::State> replay_on_interpreter(const kernel::Machine& m,
+                                                   kernel::State start,
+                                                   const trace::Trace& t) {
+  kernel::State s = std::move(start);
+  std::vector<kernel::Succ> succs;
+  for (const trace::TraceStep& ts : t.steps) {
+    succs.clear();
+    m.successors(s, succs);
+    const auto it = std::find_if(succs.begin(), succs.end(), [&](const auto& c) {
+      return same_step(c.second, ts.step);
+    });
+    if (it == succs.end() || ts.description != m.describe_step(ts.step))
+      return std::nullopt;
+    s = it->first;
+  }
+  if (m.format_state(s) != t.final_state) return std::nullopt;
+  return s;
+}
+
 TEST(ParallelExact, CounterexampleTraceReplaysToViolation) {
-  // The parallel trail is rebuilt from per-shard parent edges; replaying it
-  // step by step from the initial state must reproduce a real path.
+  // The parallel trail is rebuilt from ordinal trail edges; stepping it
+  // through the interpreter from the initial state must reproduce a real
+  // path.
   const auto sys = make_pipeline(3, 1);
   const kernel::Machine m(*sys);
   Options opt;
   const Result r = explore_at(m, opt, 4);
   ASSERT_TRUE(r.violation.has_value());
-  kernel::State s = m.initial();
-  std::vector<kernel::Succ> succs;
-  for (const trace::TraceStep& ts : r.violation->trace.steps) {
-    succs.clear();
-    m.successors(s, succs);
-    bool advanced = false;
-    for (kernel::Succ& succ : succs) {
-      if (succ.second.pid == ts.step.pid && succ.second.trans == ts.step.trans &&
-          succ.second.partner_pid == ts.step.partner_pid) {
-        s = succ.first;
-        advanced = true;
-        break;
-      }
-    }
-    ASSERT_TRUE(advanced) << "trace step not executable: " << ts.description;
-  }
+  const auto s = replay_on_interpreter(m, m.initial(), r.violation->trace);
+  ASSERT_TRUE(s.has_value());
   // the final state of the trail is the deadlock state: no successors
-  succs.clear();
-  m.successors(s, succs);
+  std::vector<kernel::Succ> succs;
+  m.successors(*s, succs);
   EXPECT_TRUE(succs.empty());
-  EXPECT_FALSE(m.is_valid_end(s));
+  EXPECT_FALSE(m.is_valid_end(*s));
 }
 
 // -- end-invariant, BFS, POR, budgets -----------------------------------------
@@ -438,9 +459,8 @@ TEST(ParallelExact, ResumedChannelModelMatchesAtEveryThreadCount) {
 }
 
 TEST(ParallelExact, ApproxMemoryCoversParentEdgesAndFrontier) {
-  // Every step of this model moves a three-field message, and every stored
-  // state but the root keeps a parent edge: the edge and the heap payload
-  // of its Step must both be in the memory estimate the budget reads.
+  // Every stored state but the root keeps a trail edge: the edges must be
+  // in the memory estimate the budget reads.
   constexpr const char* kMessages = R"(
 chan c1 = [4] of { byte, byte, byte };
 chan c2 = [4] of { byte, byte, byte };
@@ -459,10 +479,10 @@ active proctype Q3() { byte a, b, d; end: do :: c3?a,b,d od }
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r.stats.complete);
   ASSERT_GT(r.stats.states_stored, 100u);
-  const std::uint64_t edge_floor =
-      sizeof(std::uint64_t) + sizeof(kernel::Step) + 3 * sizeof(kernel::Value);
+  static_assert(sizeof(TrailEdge) <= 16);
   EXPECT_GE(r.stats.approx_memory_bytes,
-            r.stats.store_bytes + (r.stats.states_stored - 1) * edge_floor);
+            r.stats.store_bytes +
+                (r.stats.states_stored - 1) * sizeof(TrailEdge));
 
   // A checkpointing run interrupted at once keeps its root item queued for
   // the final checkpoint: the queued item counts.
@@ -478,6 +498,129 @@ active proctype Q3() { byte a, b, d; end: do :: c3?a,b,d od }
   std::filesystem::remove(stopped.checkpoint_path);
   EXPECT_EQ(cut.stats.truncation, TruncationReason::Interrupted);
   EXPECT_GT(cut.stats.approx_memory_bytes, cut.stats.store_bytes);
+}
+
+// -- trail coverage -------------------------------------------------------------
+
+/// The channel model with its assertion replaced by one SinkA breaks on its
+/// third message: the failing step receives a two-field message, so the
+/// trail ends in an assert step beyond the last stored state.
+std::string assert_model_text() {
+  std::string text = kChannelModel;
+  const std::string from = "assert(w + 1 == v)";
+  text.replace(text.find(from), from.size(), "assert(n < 2)");
+  return text;
+}
+
+TEST(ParallelExact, TrailsReplayOnInterpreterForEveryEngineAndReduction) {
+  // Deadlock, invariant and assert trails from the parallel engine (4
+  // threads) and from sequential BFS, under both engines, with and without
+  // POR: each replays on the interpreter from the initial state, step for
+  // step with every Step field, and ends in the violating state.
+  const auto pipeline = make_pipeline(3, 1);
+  const kernel::Machine deadlock_m(*pipeline);
+  SystemSpec channel_sys = pml::parse(kChannelModel);
+  const expr::Ref over3 = pml::parse_global_expr(channel_sys, "tally <= 3");
+  const kernel::Machine channel_m(channel_sys);
+  const SystemSpec assert_sys = pml::parse(assert_model_text());
+  const kernel::Machine assert_m(assert_sys);
+  struct Case {
+    const char* kind;
+    const kernel::Machine* m;
+    expr::Ref invariant;
+    ViolationKind want;
+  };
+  const Case cases[] = {
+      {"deadlock", &deadlock_m, expr::kNoExpr, ViolationKind::Deadlock},
+      {"invariant", &channel_m, over3, ViolationKind::InvariantViolated},
+      {"assert", &assert_m, expr::kNoExpr, ViolationKind::AssertFailed},
+  };
+  for (const Case& c : cases) {
+    codegen::EngineOptions eo;
+    eo.kind = codegen::EngineKind::Bytecode;
+    const auto bytecode = codegen::make_engine(*c.m, eo);
+    ASSERT_NE(bytecode, nullptr);
+    for (const codegen::Engine* engine :
+         {static_cast<const codegen::Engine*>(nullptr),
+          static_cast<const codegen::Engine*>(bytecode.get())}) {
+      for (const bool por : {false, true}) {
+        for (const int t : {4, 1}) {
+          Options o;
+          o.invariant = c.invariant;
+          o.engine = engine;
+          o.por = por;
+          o.bfs = t == 1;  // sequential BFS keeps ordinal edges too
+          const std::string what = std::string(c.kind) +
+                                   (engine ? " bytecode" : " interp") +
+                                   (por ? " por" : "") +
+                                   " threads=" + std::to_string(t);
+          const Result r = explore_at(*c.m, o, t);
+          ASSERT_TRUE(r.violation.has_value()) << what;
+          EXPECT_EQ(r.violation->kind, c.want) << what;
+          const trace::Trace& trail = r.violation->trace;
+          ASSERT_FALSE(trail.steps.empty()) << what;
+          const auto end = replay_on_interpreter(*c.m, c.m->initial(), trail);
+          ASSERT_TRUE(end.has_value()) << what;
+          if (c.want == ViolationKind::AssertFailed) {
+            EXPECT_TRUE(trail.steps.back().step.assert_failed) << what;
+          } else if (c.want == ViolationKind::InvariantViolated) {
+            EXPECT_EQ(c.m->eval_global(c.invariant, *end), 0) << what;
+          } else {
+            std::vector<kernel::Succ> succs;
+            c.m->successors(*end, succs);
+            EXPECT_TRUE(succs.empty()) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelExact, TrailPastCheckpointCutStartsAtResumedFrontierState) {
+  // A shallow breadth-first cut stops before the invariant breaks; the
+  // 4-thread resume finds the violation, and its trail replays on the
+  // interpreter from one of the checkpoint's frontier states to a state
+  // that violates the invariant.
+  SystemSpec sys = pml::parse(kChannelModel);
+  const expr::Ref over3 = pml::parse_global_expr(sys, "tally <= 3");
+  const kernel::Machine m(sys);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("pnp_parallel_trail_" + std::to_string(::getpid()) + ".ckpt"))
+          .string();
+  Options o;
+  o.invariant = over3;
+  o.checkpoint_path = path;
+  o.config_digest = "trail-resume";
+  for (const bool por : {false, true}) {
+    Options cut = o;
+    cut.por = por;
+    cut.bfs = true;
+    cut.max_states = 2000;
+    const Result first = explore_at(m, cut, 1);
+    ASSERT_TRUE(first.ok()) << "the cut must stop short of the violation";
+    ASSERT_FALSE(first.stats.complete);
+    const Checkpoint c = read_checkpoint(path);
+    ASSERT_FALSE(c.frontier.empty());
+    Options resumed = o;
+    resumed.por = por;
+    resumed.resume_from = &c;
+    const Result r = explore_at(m, resumed, 4);
+    ASSERT_TRUE(r.violation.has_value()) << "por=" << por;
+    EXPECT_EQ(r.violation->kind, ViolationKind::InvariantViolated);
+    const bool replays = std::any_of(
+        c.frontier.begin(), c.frontier.end(),
+        [&](const Checkpoint::Pending& p) {
+          const auto end =
+              replay_on_interpreter(m, p.state, r.violation->trace);
+          return end.has_value() && m.eval_global(over3, *end) == 0;
+        });
+    EXPECT_TRUE(replays) << "por=" << por;
+    EXPECT_FALSE(replay_on_interpreter(m, m.initial(), r.violation->trace)
+                     .has_value())
+        << "the trail starts past the cut, not at the initial state";
+  }
+  std::filesystem::remove(path);
 }
 
 // -- swarm (bitstate) suite ---------------------------------------------------

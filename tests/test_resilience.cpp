@@ -302,6 +302,62 @@ TEST(Ladder, TruncatedExactSearchDegradesToBitstate) {
   EXPECT_NE(out.report().find("degradation ladder"), std::string::npos);
 }
 
+/// Four independent counters to five: 28,561 states, far more than one
+/// budget stride (1024 expansions) covers.
+model::SystemSpec wide_system() {
+  using namespace model;
+  SystemSpec sys;
+  for (int w = 0; w < 4; ++w) {
+    ProcBuilder p(sys, "W" + std::to_string(w));
+    const LVar i = p.local("i");
+    p.finish(seq(do_(alt(seq(guard(p.l(i) < p.k(5)),
+                             assign(i, p.l(i) + p.k(1)))),
+                     alt(seq(guard(p.l(i) == p.k(5)), break_())))));
+    sys.spawn("w" + std::to_string(w), w, {});
+  }
+  return sys;
+}
+
+TEST(Ladder, BitstateRungSizesItsFiltersToTheMemoryBudget) {
+  // A 512 KiB budget truncates the exact rung. The default 64 MiB filter
+  // would overrun the budget at the rung's first budget check; filters
+  // capped to fit it cover (nearly) the whole space instead.
+  const model::SystemSpec sys = wide_system();
+  const kernel::Machine m(sys);
+  for (const int threads : {1, 4}) {
+    VerifyOptions opt;
+    opt.threads = threads;
+    opt.memory_budget_bytes = 512 * 1024;
+    const SafetyOutcome out = check_safety(m, opt);
+    ASSERT_EQ(out.stages.size(), 2u) << "threads=" << threads;
+    EXPECT_EQ(out.stages[0].stats.truncation,
+              explore::TruncationReason::MemoryBudget);
+    const VerifyStage& bs = out.stages[1];
+    EXPECT_EQ(bs.name, threads == 1 ? "bitstate" : "swarm-bitstate");
+    EXPECT_EQ(bs.stats.truncation, explore::TruncationReason::BitstateApprox)
+        << "threads=" << threads;
+    EXPECT_GT(bs.stats.states_stored, 25'000u) << "threads=" << threads;
+    EXPECT_NE(bs.note.find("capped"), std::string::npos);
+    EXPECT_LE(bs.stats.store_bytes, opt.memory_budget_bytes);
+  }
+}
+
+TEST(Ladder, BitstateRungIsSkippedWhenNoFilterFits) {
+  const model::SystemSpec sys = wide_system();
+  const kernel::Machine m(sys);
+  VerifyOptions opt;
+  opt.memory_budget_bytes = 64 * 1024;  // leaves 32 KiB for the filter
+  const SafetyOutcome out = check_safety(m, opt);
+  ASSERT_EQ(out.stages.size(), 2u);
+  EXPECT_EQ(out.stages[1].name, "bitstate-skipped");
+  EXPECT_EQ(out.stages[1].stats.states_stored, 0u);
+  EXPECT_FALSE(out.stages[1].note.empty());
+  EXPECT_NE(out.report().find("bitstate-skipped"), std::string::npos);
+  // the verdict is still the exact rung's partial one
+  EXPECT_EQ(out.result.stats.truncation,
+            explore::TruncationReason::MemoryBudget);
+}
+
 TEST(Ladder, CompleteSearchDoesNotDegrade) {
   const model::SystemSpec sys = big_system();
   const kernel::Machine m(sys);
