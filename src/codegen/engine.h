@@ -111,8 +111,9 @@ class Engine {
     return static_cast<std::uint32_t>(tok);
   }
 
-  /// Vector-building convenience (swarm workers permute materialized
-  /// successor lists; mirrors Machine::successors).
+  /// Vector-building convenience for the LTL product search, which
+  /// materializes each state's successor list (mirrors
+  /// Machine::successors).
   void successors(const kernel::State& s, std::vector<kernel::Succ>& out) const;
 
   /// Layout-specialized store path. When supported (layouts with at most 64

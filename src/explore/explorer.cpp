@@ -4,6 +4,8 @@
 #include <chrono>
 #include <deque>
 #include <memory>
+#include <numeric>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -17,6 +19,7 @@
 #include "kernel/compress.h"
 #include "support/hash.h"
 #include "support/panic.h"
+#include "support/shuffle.h"
 #include "support/spill.h"
 
 namespace pnp::explore {
@@ -61,9 +64,15 @@ constexpr std::uint64_t kBudgetCheckStride = 1024;
 
 /// Visited-table pre-size hint: honor a caller-set max_states bound exactly,
 /// but cap the speculative up-front allocation -- the flat tables double
-/// cheaply past the cap.
+/// cheaply past the cap. Under a memory budget the pre-sized table takes at
+/// most a quarter of it: a table for n keys at <= 0.7 load has fewer than
+/// 2n / 0.7 slots of 8 bytes, under 23 bytes per key.
 std::uint64_t expected_states(const Options& opt) {
-  return std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16);
+  std::uint64_t n =
+      std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16);
+  if (opt.memory_budget_bytes > 0)
+    n = std::min<std::uint64_t>(n, opt.memory_budget_bytes / 4 / 23);
+  return n;
 }
 
 std::optional<Violation> invariant_violation(const Machine& m,
@@ -105,41 +114,77 @@ std::optional<Violation> terminal_violation(const Machine& m,
   return std::nullopt;
 }
 
-/// Deterministic per-state successor shuffle for swarm workers: seeded by
-/// (worker seed, state key hash) so regenerating a DFS frame's successor
-/// list reproduces the exact same order.
-void permute_succs(std::vector<Succ>& succs, std::uint64_t perm_seed,
-                   const std::string& key) {
-  if (succs.size() < 2) return;
-  std::uint64_t x = avalanche64(perm_seed ^ hash_bytes(byte_span(key)));
-  for (std::size_t i = succs.size() - 1; i > 0; --i) {
-    // xorshift64* step, then reduce; bias is irrelevant here
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    const std::size_t j =
-        static_cast<std::size_t>((x * 0x2545f4914f6cdd1dull) % (i + 1));
-    std::swap(succs[i], succs[j]);
+/// A swarm worker's successor order. Collects one expansion pass, then
+/// replays it to the search's own sink (which may still stop the pass) in
+/// an order shuffled by (worker seed, parent state key), so every
+/// expansion of a state yields the same order. `ordinal` is the replayed
+/// successor's index in the unpermuted stream: the one a BFS trail edge
+/// records, so replay_trail() regenerates it. A buffered successor has
+/// lost its undo log, which exact mode's delta COLLAPSE keys from, so the
+/// permuted order serves bitstate searches only.
+class PermutedSink final : public kernel::SuccSink {
+ public:
+  bool on_successor(const State& ns, const Step& step) override {
+    if (n_ == succs_.size()) {
+      succs_.emplace_back(ns, step);
+    } else {  // assignment reuses the buffered state's storage
+      succs_[n_].first = ns;
+      succs_[n_].second = step;
+    }
+    ++n_;
+    return true;
   }
-}
 
-/// The streaming sequential engine: COLLAPSE component compression, flat
-/// visited store, and mutate-and-revert successor generation. Runs every
-/// non-permuted single-threaded search (exact and bitstate). Discovery
+  /// Replays the pass collected since the last replay to `inner`, in the
+  /// order `seed` gives it for `parent`.
+  void replay(std::uint64_t seed, const State& parent,
+              kernel::SuccSink& inner) {
+    order_.resize(n_);
+    std::iota(order_.begin(), order_.end(), 0u);
+    kernel::encode_key_into(parent, key_);
+    seeded_shuffle(std::span(order_),
+                   avalanche64(seed ^ hash_bytes(byte_span(key_))));
+    n_ = 0;
+    for (const std::uint32_t i : order_) {
+      ordinal = i;
+      if (!inner.on_successor(succs_[i].first, succs_[i].second)) return;
+    }
+  }
+
+  std::uint32_t ordinal = 0;
+
+ private:
+  std::vector<Succ> succs_;  // slots [0, n_) hold the current pass
+  std::size_t n_ = 0;
+  std::vector<std::uint32_t> order_;
+  std::string key_;
+};
+
+/// The sequential engine: COLLAPSE component compression, flat visited
+/// store, and mutate-and-revert successor generation, streamed pass by
+/// pass. Runs every single-threaded search, exact and bitstate, and every
+/// swarm worker: `perm_seed` != 0 routes each expansion pass through a
+/// PermutedSink, `bitstate_seed` seeds the Bloom hash functions, and a
+/// raised `stop` ends the search cooperatively. With (0, 0) the discovery
 /// order -- and therefore verdicts, stored-state counts, counterexample
-/// trails, and the exact bit pattern of the bitstate filter -- is identical
-/// to the historical copy-based engine (DESIGN.md section 11 has the
-/// step-by-step argument).
+/// trails, and the exact bit pattern of the bitstate filter -- is
+/// identical to the historical copy-based engine (DESIGN.md section 11 has
+/// the step-by-step argument).
 class FlatRun {
  public:
-  FlatRun(const Machine& m, const Options& opt, const std::atomic<bool>* stop)
+  FlatRun(const Machine& m, const Options& opt, std::uint64_t perm_seed,
+          std::uint64_t bitstate_seed, const std::atomic<bool>* stop)
       : m_(m),
         opt_(opt),
-        visited_(opt.bitstate, opt.bitstate_bytes, /*seed=*/0,
+        visited_(opt.bitstate, opt.bitstate_bytes, bitstate_seed,
                  opt.bitstate ? 0 : expected_states(opt)),
         compressor_(m.layout(), /*stripes=*/1),
         keyer_(compressor_, opt.engine),
-        stop_(stop) {
+        stop_(stop),
+        perm_seed_(perm_seed) {
+    PNP_CHECK(perm_seed == 0 || opt.bitstate,
+              "a permuted successor order requires bitstate mode (exact "
+              "mode keys successors from the live undo log)");
     if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();
     if (!opt.checkpoint_path.empty() || opt.resume_from != nullptr) {
       PNP_CHECK(!opt.bitstate,
@@ -514,7 +559,11 @@ class FlatRun {
         }
       }
       DfsSink sink(*this, f);
-      if (opt_.por) {
+      if (perm_seed_ != 0) {
+        // por_choice is -1 (full expansion) without POR
+        por_visit(m_, f.state, f.por_choice, scratch_, permuted_, opt_.engine);
+        permuted_.replay(perm_seed_, f.state, sink);
+      } else if (opt_.por) {
         if (opt_.engine) {
           // Engine-backed POR: same native skip / resume-token / deferred-
           // probe pipeline as the plain engine path below, applied to the
@@ -572,35 +621,42 @@ class FlatRun {
     return r;
   }
 
-  /// A BFS node keeps its trail edge: the parent's index (-1 for the root
-  /// and resumed frontier states) and its ordinal in the parent's
-  /// successor stream (explore/trail.h).
-  struct BfsNode {
+  /// A queued BFS state, dropped once expanded. `node` indexes its trail
+  /// edge in edges_ (kept only when traces are on).
+  struct BfsItem {
     State state;
     std::vector<std::uint32_t> ids;  // per-region component ids (exact mode)
-    std::int64_t parent;
-    std::uint32_t ordinal;
+    std::uint64_t node = 0;
   };
+
+  /// The parent id of a chain start (the root, or a resumed frontier
+  /// state); its edge's ordinal indexes starts_ instead.
+  static constexpr std::uint64_t kChainStart = ~std::uint64_t{0};
 
   class BfsSink final : public kernel::SuccSink {
    public:
-    BfsSink(FlatRun& run, std::int64_t head) : run_(run), head_(head) {}
+    BfsSink(FlatRun& run, const BfsItem& head) : run_(run), head_(head) {}
 
     bool on_successor(const State& ns, const Step& step) override {
-      return run_.bfs_candidate(ns, step, head_, count++, *this);
+      const std::uint32_t ordinal = *ordinal_src;
+      ++count;
+      return run_.bfs_candidate(ns, step, head_, ordinal, *this);
     }
 
     std::uint32_t count = 0;
+    // The successor's ordinal in the unpermuted stream: the stream count,
+    // or PermutedSink::ordinal when a permuted pass replays into this sink.
+    const std::uint32_t* ordinal_src = &count;
     bool violated = false;
     Violation violation;
     std::uint32_t vordinal = 0;  // the assert step's ordinal
 
    private:
     FlatRun& run_;
-    std::int64_t head_;
+    const BfsItem& head_;
   };
 
-  bool bfs_candidate(const State& ns, const Step& step, std::int64_t head,
+  bool bfs_candidate(const State& ns, const Step& step, const BfsItem& head,
                      std::uint32_t ordinal, BfsSink& sink) {
     ++transitions_;
     if (step.assert_failed) {
@@ -610,8 +666,7 @@ class FlatRun {
       sink.violated = true;
       return false;
     }
-    if (!visited_.insert(
-            succ_key(ns, nodes_[static_cast<std::size_t>(head)].ids))) {
+    if (!visited_.insert(succ_key(ns, head.ids))) {
       ++matched_;
       return true;
     }
@@ -620,57 +675,63 @@ class FlatRun {
       if (ckpt_enabled()) overflow_.push_back({State(ns), 0});
       return true;
     }
-    nodes_.push_back({State(ns),
+    queue_.push_back({State(ns),
                       opt_.bitstate ? std::vector<std::uint32_t>()
                                     : keyer_.ids(),
-                      head, ordinal});
+                      opt_.want_trace ? edges_.push({head.node, ordinal}) : 0});
     return true;
   }
 
-  /// Trail to node `i` (plus the assert step `extra` beyond it): the
-  /// ordinals back to its chain start, replayed forward from that node's
+  /// Queues a chain start, keeping its state for trail replay.
+  void bfs_start(State s, std::vector<std::uint32_t> ids) {
+    std::uint64_t node = 0;
+    if (opt_.want_trace) {
+      node = edges_.push(
+          {kChainStart, static_cast<std::uint32_t>(starts_.size())});
+      starts_.push_back(s);
+    }
+    queue_.push_back({std::move(s), std::move(ids), node});
+  }
+
+  /// Trail to `node` (plus the assert step `extra` beyond it): the
+  /// ordinals back to its chain start, replayed forward from that start's
   /// state.
-  trace::Trace bfs_trace(std::int64_t i,
+  trace::Trace bfs_trace(std::uint64_t node,
                          std::optional<std::uint32_t> extra) const {
     if (!opt_.want_trace) return {};
     std::vector<std::uint32_t> ordinals;
     if (extra) ordinals.push_back(*extra);
-    for (; nodes_[static_cast<std::size_t>(i)].parent >= 0;
-         i = nodes_[static_cast<std::size_t>(i)].parent)
-      ordinals.push_back(nodes_[static_cast<std::size_t>(i)].ordinal);
+    for (; edges_[node].parent != kChainStart; node = edges_[node].parent)
+      ordinals.push_back(edges_[node].ordinal);
     std::reverse(ordinals.begin(), ordinals.end());
-    return replay_trail(m_, opt_, nodes_[static_cast<std::size_t>(i)].state,
-                        ordinals);
+    return replay_trail(m_, opt_, starts_[edges_[node].ordinal], ordinals);
   }
 
   Result bfs() {
     Result r;
 
     if (opt_.resume_from != nullptr) {
-      // Resumed search: frontier states re-enter the queue as parentless
-      // roots, so a counterexample trail found after resume starts at a
+      // Resumed search: frontier states re-enter the queue as chain
+      // starts, so a counterexample trail found after resume starts at a
       // checkpointed frontier state rather than the initial state.
       seed_resume();
       for (Checkpoint::Pending& p : seeds_) {
-        BfsNode n{std::move(p.state), {}, -1, 0};
-        keyer_.full(n.state);
-        n.ids = keyer_.ids();
-        nodes_.push_back(std::move(n));
+        keyer_.full(p.state);
+        bfs_start(std::move(p.state), keyer_.ids());
       }
       seeds_.clear();
     } else {
-      BfsNode root{m_.initial(), {}, -1, 0};
-      visited_.insert(root_key(root.state));
-      if (!opt_.bitstate) root.ids = keyer_.ids();
-      nodes_.push_back(std::move(root));
+      State root = m_.initial();
+      visited_.insert(root_key(root));
+      bfs_start(std::move(root), opt_.bitstate ? std::vector<std::uint32_t>()
+                                               : keyer_.ids());
     }
 
-    const std::uint64_t per_node_bytes = sizeof(BfsNode) + state_bytes();
-    // bfs_head_ is a member so a checkpoint cut knows where the unexpanded
-    // tail begins; on a clean exit it equals nodes_.size() (empty frontier).
-    for (bfs_head_ = 0;
-         bfs_head_ < static_cast<std::int64_t>(nodes_.size()); ++bfs_head_) {
-      const std::int64_t head = bfs_head_;
+    // Memory held: the unexpanded queue and the trail edges. An expanded
+    // state keeps nothing but its 16-byte edge.
+    const std::uint64_t per_item_bytes = sizeof(BfsItem) + state_bytes();
+    BfsItem head;
+    while (!queue_.empty()) {
       if (stopped()) {
         complete_ = false;
         break;
@@ -679,30 +740,36 @@ class FlatRun {
         truncate(TruncationReason::Interrupted);
         break;
       }
-      if (over_budget(nodes_.size() * per_node_bytes)) break;
-      observe(nodes_.size() * per_node_bytes);
+      const std::uint64_t held =
+          queue_.size() * per_item_bytes + edges_.bytes();
+      if (over_budget(held)) break;
+      observe(held);
       maybe_checkpoint();
-      if (auto v = invariant_violation(
-              m_, opt_, nodes_[static_cast<std::size_t>(head)].state)) {
-        v->trace = bfs_trace(head, std::nullopt);
+      head = std::move(queue_.front());
+      queue_.pop_front();
+      if (auto v = invariant_violation(m_, opt_, head.state)) {
+        v->trace = bfs_trace(head.node, std::nullopt);
         r.violation = std::move(*v);
         return r;
       }
-      // Deque references survive push_back, so streaming new nodes into
-      // nodes_ while expanding the head is safe. Under POR, the
-      // proviso-free ample choice.
-      const State& hs = nodes_[static_cast<std::size_t>(head)].state;
+      // Under POR, the proviso-free ample choice.
       BfsSink sink(*this, head);
-      if (visit_expansion(m_, opt_, hs, scratch_, sink) >= 0) ++por_ample_;
+      if (perm_seed_ != 0) {
+        sink.ordinal_src = &permuted_.ordinal;
+        if (visit_expansion(m_, opt_, head.state, scratch_, permuted_) >= 0)
+          ++por_ample_;
+        permuted_.replay(perm_seed_, head.state, sink);
+      } else if (visit_expansion(m_, opt_, head.state, scratch_, sink) >= 0) {
+        ++por_ample_;
+      }
       if (sink.violated) {
-        sink.violation.trace = bfs_trace(head, sink.vordinal);
+        sink.violation.trace = bfs_trace(head.node, sink.vordinal);
         r.violation = std::move(sink.violation);
         return r;
       }
       if (sink.count == 0) {
-        if (auto v = terminal_violation(
-                m_, opt_, nodes_[static_cast<std::size_t>(head)].state)) {
-          v->trace = bfs_trace(head, std::nullopt);
+        if (auto v = terminal_violation(m_, opt_, head.state)) {
+          v->trace = bfs_trace(head.node, std::nullopt);
           r.violation = std::move(*v);
           return r;
         }
@@ -853,9 +920,7 @@ class FlatRun {
           },
           [&](const StateSink& sink) {
             if (opt_.bfs) {
-              for (std::int64_t j = bfs_head_;
-                   j < static_cast<std::int64_t>(nodes_.size()); ++j)
-                sink(nodes_[static_cast<std::size_t>(j)].state, 0);
+              for (const BfsItem& it : queue_) sink(it.state, 0);
             } else {
               for (std::size_t i = 0; i < stack_.size(); ++i)
                 sink(stack_[i].state, static_cast<std::uint32_t>(i));
@@ -959,10 +1024,14 @@ class FlatRun {
   kernel::StateCompressor compressor_;
   SuccKeyer keyer_;  // exact mode's successor -> key path
   const std::atomic<bool>* stop_ = nullptr;
+  const std::uint64_t perm_seed_;  // nonzero: successors in PermutedSink order
+  PermutedSink permuted_;
 
   kernel::SuccScratch scratch_;
   std::vector<Frame> stack_;
-  std::deque<BfsNode> nodes_;
+  std::deque<BfsItem> queue_;  // BFS frontier: the checkpoint cut's tail
+  EdgeLog edges_;              // BFS trail edges (traces on)
+  std::vector<State> starts_;  // BFS chain-start states (traces on)
   std::unordered_set<std::string> on_stack_;
   Pending pend_[2];  // engine-path probe pipeline, oldest first (DFS only)
   std::string probe_buf_;
@@ -989,346 +1058,8 @@ class FlatRun {
   std::uint64_t ckpt_seq_ = 0;        // last committed sequence number
   std::uint64_t ckpt_written_ = 0;    // checkpoints committed by THIS run
   std::uint64_t last_ckpt_states_ = 0;
-  std::int64_t bfs_head_ = 0;         // first unexpanded BFS node
   std::vector<Checkpoint::Pending> seeds_;     // resume frontier, unconsumed
   std::vector<Checkpoint::Pending> overflow_;  // stored-not-expanded on limit
-};
-
-/// The legacy copy-based engine, retained exclusively for swarm workers
-/// with a nonzero permutation seed: shuffling a state's successor order
-/// requires the whole list materialized, so these searches keep building
-/// successor vectors and raw keys. Worker 0 of a swarm (seed 0) runs the
-/// streaming engine above instead.
-class PermutedRun {
- public:
-  PermutedRun(const Machine& m, const Options& opt, std::uint64_t perm_seed,
-              std::uint64_t bitstate_seed, const std::atomic<bool>* stop)
-      : m_(m),
-        opt_(opt),
-        visited_(opt.bitstate, opt.bitstate_bytes, bitstate_seed),
-        perm_seed_(perm_seed),
-        stop_(stop) {
-    if (opt.obs != nullptr) blk_ = opt.obs->recorder().open_block();
-  }
-
-  Result go() {
-    start_ = std::chrono::steady_clock::now();
-    Result r = opt_.bfs ? bfs() : dfs();
-    r.stats.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-            .count();
-    r.stats.states_stored = visited_.size();
-    r.stats.states_matched = matched_;
-    r.stats.transitions = transitions_;
-    r.stats.max_depth_reached = max_depth_seen_;
-    r.stats.complete = complete_ && !opt_.bitstate;
-    r.stats.store_bytes = visited_.approx_bytes();
-    r.stats.approx_memory_bytes = visited_.approx_bytes() + frontier_bytes_;
-    // A hard truncation (deadline, limit) is the more actionable
-    // explanation; bitstate approximation is only reported when nothing
-    // else cut the search short.
-    r.stats.truncation = truncation_ != TruncationReason::None
-                             ? truncation_
-                             : (opt_.bitstate ? TruncationReason::BitstateApprox
-                                              : TruncationReason::None);
-    if (blk_ != nullptr) {
-      publish_counters();
-      opt_.obs->recorder().max_gauge(
-          obs::Gauge::MaxDepthReached,
-          static_cast<std::uint64_t>(max_depth_seen_));
-      r.stats.approx_memory_bytes += opt_.obs->approx_bytes();
-    }
-    return r;
-  }
-
- private:
-  // DFS frames do NOT own their successor lists: only the top-of-stack
-  // frame's successors are materialized (in a shared scratch vector) and
-  // they are regenerated when the search returns to a frame.
-  struct Frame {
-    State state;
-    std::string key;
-    Step in_step;  // step that produced this state (invalid at root)
-    std::uint32_t next = 0;
-    bool checked = false;
-    int por_choice = -1;  // recorded ample decision (see por_choose)
-  };
-
-  void truncate(TruncationReason why) {
-    complete_ = false;
-    if (truncation_ == TruncationReason::None) truncation_ = why;
-  }
-
-  bool over_budget(std::uint64_t frontier_bytes) {
-    if (opt_.deadline_seconds <= 0.0 && opt_.memory_budget_bytes == 0)
-      return false;
-    if (++budget_tick_ % kBudgetCheckStride != 0) return false;
-    frontier_bytes_ = frontier_bytes;
-    if (opt_.deadline_seconds > 0.0) {
-      const double elapsed =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start_)
-              .count();
-      if (elapsed >= opt_.deadline_seconds) {
-        truncate(TruncationReason::Deadline);
-        return true;
-      }
-    }
-    if (opt_.memory_budget_bytes > 0 &&
-        visited_.approx_bytes() + frontier_bytes +
-                (opt_.obs != nullptr ? opt_.obs->approx_bytes() : 0) >=
-            opt_.memory_budget_bytes) {
-      truncate(TruncationReason::MemoryBudget);
-      return true;
-    }
-    return false;
-  }
-
-  /// Swarm workers publish their tallies every kBudgetCheckStride
-  /// expansions; the seeded searches overlap, so their counters are a
-  /// coverage-effort measure, not a deduplicated state count.
-  void observe() {
-    if (blk_ == nullptr) return;
-    if (++obs_tick_ % kBudgetCheckStride != 0) return;
-    publish_counters();
-    opt_.obs->progress(visited_.size(), opt_.max_states);
-  }
-
-  void publish_counters() {
-    blk_->set(obs::Counter::StatesStored, visited_.size());
-    blk_->set(obs::Counter::StatesMatched, matched_);
-    blk_->set(obs::Counter::Transitions, transitions_);
-    blk_->set(obs::Counter::PorAmpleSets, por_ample_);
-  }
-
-  /// Per-state checks (invariant, deadlock). Returns a violation or nullopt.
-  std::optional<Violation> check_state(const State& s, bool has_succ) {
-    if (auto v = invariant_violation(m_, opt_, s)) return v;
-    if (!has_succ) return terminal_violation(m_, opt_, s);
-    return std::nullopt;
-  }
-
-  trace::Trace stack_trace(const std::vector<Frame>& stack,
-                           const Succ* extra) const {
-    trace::Trace t;
-    if (!opt_.want_trace) return t;
-    for (std::size_t i = 1; i < stack.size(); ++i)
-      t.steps.push_back(
-          {stack[i].in_step, m_.describe_step(stack[i].in_step)});
-    if (extra)
-      t.steps.push_back({extra->second, m_.describe_step(extra->second)});
-    const State& final_state =
-        extra ? extra->first : stack.back().state;
-    t.final_state = m_.format_state(final_state);
-    return t;
-  }
-
-  Result dfs() {
-    Result r;
-    std::vector<Frame> stack;
-    std::unordered_set<std::string> on_stack;
-    const OnStackFn on_stack_fn = [&on_stack](const State& s) {
-      return on_stack.contains(kernel::encode_key(s));
-    };
-    const OnStackFn* proviso = opt_.por ? &on_stack_fn : nullptr;
-
-    Frame root;
-    root.state = m_.initial();
-    root.key = kernel::encode_key(root.state);
-    visited_.insert(byte_span(root.key));
-    stack.push_back(std::move(root));
-    if (opt_.por) on_stack.insert(stack.back().key);
-
-    std::vector<Succ> succs;          // successors of the top frame only
-    std::ptrdiff_t succs_for = -1;    // stack index the scratch belongs to
-
-    const std::uint64_t per_frame_bytes =
-        sizeof(Frame) + 2 * state_bytes();  // state vector + encoded key
-    while (!stack.empty()) {
-      if (stopped()) {
-        complete_ = false;
-        break;
-      }
-      if (over_budget(stack.size() * per_frame_bytes)) break;
-      observe();
-      const std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(stack.size()) - 1;
-      Frame& f = stack[static_cast<std::size_t>(idx)];
-      if (succs_for != idx) {
-        succs.clear();
-        if (!f.checked && opt_.por) {
-          f.por_choice = por_choose(m_, f.state, proviso, opt_.engine);
-          if (f.por_choice >= 0) ++por_ample_;
-        }
-        if (opt_.por)
-          por_expand(m_, f.state, f.por_choice, succs, opt_.engine);
-        else if (opt_.engine)
-          opt_.engine->successors(f.state, succs);
-        else
-          m_.successors(f.state, succs);
-        if (perm_seed_ != 0) permute_succs(succs, perm_seed_, f.key);
-        succs_for = idx;
-        if (!f.checked) {
-          f.checked = true;
-          transitions_ += succs.size();
-          max_depth_seen_ = std::max(max_depth_seen_, static_cast<int>(idx));
-          if (auto v = check_state(f.state, !succs.empty())) {
-            v->trace = stack_trace(stack, nullptr);
-            r.violation = std::move(*v);
-            return r;
-          }
-        }
-      }
-      if (f.next >= succs.size()) {
-        if (opt_.por) on_stack.erase(f.key);
-        stack.pop_back();
-        succs_for = -1;
-        continue;
-      }
-      Succ& succ = succs[f.next++];
-      if (succ.second.assert_failed) {
-        Violation v;
-        v.kind = ViolationKind::AssertFailed;
-        v.message = "assertion failed: " + m_.describe_step(succ.second);
-        v.trace = stack_trace(stack, &succ);
-        r.violation = std::move(v);
-        return r;
-      }
-      std::string key = kernel::encode_key(succ.first);
-      if (!visited_.insert(byte_span(key))) {
-        ++matched_;
-        continue;
-      }
-      if (visited_.size() >= opt_.max_states) {
-        truncate(TruncationReason::MaxStates);
-        continue;
-      }
-      if (static_cast<int>(stack.size()) > opt_.max_depth) {
-        truncate(TruncationReason::MaxDepth);
-        continue;
-      }
-      Frame nf;
-      nf.state = std::move(succ.first);
-      nf.key = std::move(key);
-      nf.in_step = succ.second;
-      if (opt_.por) on_stack.insert(nf.key);
-      stack.push_back(std::move(nf));
-      succs_for = -1;  // the new top needs its own successor list
-    }
-    return r;
-  }
-
-  Result bfs() {
-    Result r;
-    struct Node {
-      State state;
-      std::int64_t parent;
-      Step in_step;
-    };
-    std::deque<Node> nodes;
-
-    auto build_trace = [&](std::int64_t i, const Succ* extra) {
-      trace::Trace t;
-      if (!opt_.want_trace) return t;
-      std::vector<trace::TraceStep> rev;
-      for (std::int64_t j = i; j > 0; j = nodes[static_cast<std::size_t>(j)].parent)
-        rev.push_back({nodes[static_cast<std::size_t>(j)].in_step,
-                       m_.describe_step(nodes[static_cast<std::size_t>(j)].in_step)});
-      t.steps.assign(rev.rbegin(), rev.rend());
-      if (extra)
-        t.steps.push_back({extra->second, m_.describe_step(extra->second)});
-      t.final_state = m_.format_state(
-          extra ? extra->first : nodes[static_cast<std::size_t>(i)].state);
-      return t;
-    };
-
-    {
-      Node root{m_.initial(), -1, {}};
-      const std::string key = kernel::encode_key(root.state);
-      visited_.insert(byte_span(key));
-      nodes.push_back(std::move(root));
-    }
-
-    const std::uint64_t per_node_bytes = sizeof(Node) + 2 * state_bytes();
-    std::vector<Succ> succs;
-    for (std::int64_t head = 0; head < static_cast<std::int64_t>(nodes.size());
-         ++head) {
-      if (stopped()) {
-        complete_ = false;
-        break;
-      }
-      if (over_budget(nodes.size() * per_node_bytes)) break;
-      observe();
-      succs.clear();
-      if (opt_.por)
-        por_successors(m_, nodes[static_cast<std::size_t>(head)].state, succs,
-                       nullptr, opt_.engine);
-      else if (opt_.engine)
-        opt_.engine->successors(nodes[static_cast<std::size_t>(head)].state,
-                                succs);
-      else
-        m_.successors(nodes[static_cast<std::size_t>(head)].state, succs);
-      if (perm_seed_ != 0)
-        permute_succs(
-            succs, perm_seed_,
-            kernel::encode_key(nodes[static_cast<std::size_t>(head)].state));
-      transitions_ += succs.size();
-      if (auto v = check_state(nodes[static_cast<std::size_t>(head)].state,
-                               !succs.empty())) {
-        v->trace = build_trace(head, nullptr);
-        r.violation = std::move(*v);
-        return r;
-      }
-      for (Succ& succ : succs) {
-        if (succ.second.assert_failed) {
-          Violation v;
-          v.kind = ViolationKind::AssertFailed;
-          v.message = "assertion failed: " + m_.describe_step(succ.second);
-          v.trace = build_trace(head, &succ);
-          r.violation = std::move(v);
-          return r;
-        }
-        std::string key = kernel::encode_key(succ.first);
-        if (!visited_.insert(byte_span(key))) {
-          ++matched_;
-          continue;
-        }
-        if (visited_.size() >= opt_.max_states) {
-          truncate(TruncationReason::MaxStates);
-          continue;
-        }
-        nodes.push_back({std::move(succ.first), head, succ.second});
-      }
-    }
-    max_depth_seen_ = 0;  // depth tracking is a DFS notion
-    return r;
-  }
-
-  std::uint64_t state_bytes() const {
-    return static_cast<std::uint64_t>(m_.layout().size()) *
-           sizeof(kernel::Value);
-  }
-
-  bool stopped() const {
-    return stop_ != nullptr && stop_->load(std::memory_order_relaxed);
-  }
-
-  const Machine& m_;
-  const Options& opt_;
-  VisitedSet visited_;
-  std::uint64_t perm_seed_ = 0;
-  const std::atomic<bool>* stop_ = nullptr;
-  std::uint64_t matched_ = 0;
-  std::uint64_t transitions_ = 0;
-  std::uint64_t budget_tick_ = 0;
-  std::uint64_t frontier_bytes_ = 0;
-  int max_depth_seen_ = 0;
-  bool complete_ = true;
-  TruncationReason truncation_ = TruncationReason::None;
-  std::chrono::steady_clock::time_point start_{};
-
-  obs::CounterBlock* blk_ = nullptr;
-  std::uint64_t obs_tick_ = 0;
-  std::uint64_t por_ample_ = 0;
 };
 
 }  // namespace
@@ -1344,11 +1075,7 @@ namespace detail {
 Result run_single(const kernel::Machine& m, const Options& opt,
                   std::uint64_t perm_seed, std::uint64_t bitstate_seed,
                   const std::atomic<bool>* stop) {
-  if (perm_seed == 0) {
-    FlatRun run(m, opt, stop);
-    return run.go();
-  }
-  PermutedRun run(m, opt, perm_seed, bitstate_seed, stop);
+  FlatRun run(m, opt, perm_seed, bitstate_seed, stop);
   return run.go();
 }
 
@@ -1356,10 +1083,7 @@ Result run_single(const kernel::Machine& m, const Options& opt,
 
 Result explore(const kernel::Machine& m, const Options& opt) {
   const int threads = resolve_threads(opt.threads);
-  if (threads <= 1) {
-    FlatRun run(m, opt, nullptr);
-    return run.go();
-  }
+  if (threads <= 1) return detail::run_single(m, opt, 0, 0, nullptr);
   return opt.bitstate ? detail::run_swarm(m, opt, threads)
                       : detail::run_parallel(m, opt, threads);
 }

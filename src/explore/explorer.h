@@ -209,11 +209,13 @@ int resolve_threads(int requested);
 
 namespace detail {
 
-/// Single-threaded engine with swarm hooks: `perm_seed != 0` permutes every
-/// state's successor order with a deterministic per-state shuffle,
-/// `bitstate_seed` perturbs the Bloom hash functions, and a set `stop` flag
-/// aborts the search cooperatively. explore() uses (0, 0, nullptr), which is
-/// exactly the historical sequential search.
+/// The sequential engine, also run by every swarm worker: `perm_seed != 0`
+/// permutes every state's successor order with a deterministic per-state
+/// shuffle (bitstate mode only), `bitstate_seed` perturbs the Bloom hash
+/// functions, and a set `stop` flag aborts the search cooperatively. Every
+/// other Options field, budgets and interrupt included, applies as in a
+/// sequential search. explore() uses (0, 0, nullptr), which is exactly the
+/// historical sequential search.
 Result run_single(const kernel::Machine& m, const Options& opt,
                   std::uint64_t perm_seed, std::uint64_t bitstate_seed,
                   const std::atomic<bool>* stop);

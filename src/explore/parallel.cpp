@@ -26,8 +26,9 @@
 //
 // Swarm mode (run_swarm): N fully independent bitstate searches, each with
 // its own Bloom filter seed and a deterministic per-state successor
-// shuffle. A violation found by any worker stops the swarm; otherwise every
-// filter runs to completion and coverage is the union of the filters.
+// shuffle, each run by the sequential engine (detail::run_single). A
+// violation found by any worker stops the swarm; otherwise every filter
+// runs to completion and coverage is the union of the filters.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>

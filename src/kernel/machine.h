@@ -90,18 +90,15 @@ class Machine {
   /// executing that step.
   void successors(const State& s, std::vector<Succ>& out) const;
 
-  /// Successors produced by process `pid` only (used by POR and the atomic
-  /// rule). Returns true if at least one was produced.
-  bool successors_of(const State& s, int pid, std::vector<Succ>& out) const;
-
-  /// Streaming variants: each successor is materialized in `scratch` by
-  /// mutate-and-revert and handed to `sink` in exactly the order the
-  /// vector-building overloads would append it. The sink may abort early by
-  /// returning false. `s` must not alias `scratch.state`.
+  /// Streaming variant: each successor is materialized in `scratch` by
+  /// mutate-and-revert and handed to `sink` in exactly the order
+  /// successors() would append it. The sink may abort early by returning
+  /// false. `s` must not alias `scratch.state`.
   void visit_successors(const State& s, SuccScratch& scratch,
                         SuccSink& sink) const;
 
-  /// Streaming successors_of(); returns true if at least one successor was
+  /// Streams the successors produced by process `pid` only (used by POR
+  /// and the atomic rule); returns true if at least one successor was
   /// produced (even if the sink then aborted).
   bool visit_successors_of(const State& s, int pid, SuccScratch& scratch,
                            SuccSink& sink) const;

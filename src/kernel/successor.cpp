@@ -513,13 +513,6 @@ void Machine::visit_successors(const State& s, SuccScratch& scratch,
   }
 }
 
-bool Machine::successors_of(const State& s, int pid,
-                            std::vector<Succ>& out) const {
-  CollectSink sink(out);
-  SuccScratch scratch;
-  return visit_successors_of(s, pid, scratch, sink);
-}
-
 void Machine::successors(const State& s, std::vector<Succ>& out) const {
   CollectSink sink(out);
   SuccScratch scratch;

@@ -10,6 +10,7 @@
 
 #include "support/hash.h"
 #include "support/panic.h"
+#include "support/shuffle.h"
 
 namespace pnp::ltl {
 
@@ -26,22 +27,6 @@ struct ProdSucc {
   Step step;
   bool stutter{false};
 };
-
-/// Deterministic Fisher-Yates driven by xorshift64*: racing workers diversify
-/// their DFS order without giving up reproducibility (the same (state, seed)
-/// always yields the same order, so regenerating a frame's successor list on
-/// stack resume sees identical indices).
-void shuffle_succs(std::vector<ProdSucc>& v, std::uint64_t seed) {
-  std::uint64_t x = seed ? seed : 0x9e3779b97f4a7c15ull;
-  auto next = [&x]() {
-    x ^= x >> 12;
-    x ^= x << 25;
-    x ^= x >> 27;
-    return x * 0x2545F4914F6CDD1Dull;
-  };
-  for (std::size_t i = v.size(); i > 1; --i)
-    std::swap(v[i - 1], v[next() % i]);
-}
 
 // The product automaton of system x Buchi automaton, optionally unfolded
 // into #processes + 2 copies for weak fairness (Choueka construction,
@@ -224,7 +209,7 @@ class ProductSearch {
     const std::string key = prod_key(s, q, copy);
     const std::uint64_t h = hash_bytes(
         {reinterpret_cast<const std::uint8_t*>(key.data()), key.size()});
-    shuffle_succs(out, avalanche64(perm_seed_ ^ h));
+    seeded_shuffle(std::span(out), avalanche64(perm_seed_ ^ h));
   }
 
   bool stop_requested() {

@@ -709,7 +709,7 @@ TEST(EnginePor, ReducedSearchTotalsMatchAtAllThreadCounts) {
 }
 
 TEST(EnginePor, BfsReducedSearchMatches) {
-  // BFS takes the por_successors (choose + expand in one call) path.
+  // BFS takes the proviso-free visit_expansion path (choose, then stream).
   TempDir cache;
   const auto tp = make_fig13();
   const TestModel& t = *tp;

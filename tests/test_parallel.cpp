@@ -544,17 +544,7 @@ TEST(ParallelExact, TrailsReplayOnInterpreterForEveryEngineAndReduction) {
          {static_cast<const codegen::Engine*>(nullptr),
           static_cast<const codegen::Engine*>(bytecode.get())}) {
       for (const bool por : {false, true}) {
-        for (const int t : {4, 1}) {
-          Options o;
-          o.invariant = c.invariant;
-          o.engine = engine;
-          o.por = por;
-          o.bfs = t == 1;  // sequential BFS keeps ordinal edges too
-          const std::string what = std::string(c.kind) +
-                                   (engine ? " bytecode" : " interp") +
-                                   (por ? " por" : "") +
-                                   " threads=" + std::to_string(t);
-          const Result r = explore_at(*c.m, o, t);
+        const auto check = [&](const Result& r, const std::string& what) {
           ASSERT_TRUE(r.violation.has_value()) << what;
           EXPECT_EQ(r.violation->kind, c.want) << what;
           const trace::Trace& trail = r.violation->trace;
@@ -570,6 +560,27 @@ TEST(ParallelExact, TrailsReplayOnInterpreterForEveryEngineAndReduction) {
             c.m->successors(*end, succs);
             EXPECT_TRUE(succs.empty()) << what;
           }
+        };
+        Options o;
+        o.invariant = c.invariant;
+        o.engine = engine;
+        o.por = por;
+        const std::string what = std::string(c.kind) +
+                                 (engine ? " bytecode" : " interp") +
+                                 (por ? " por" : "");
+        for (const int t : {4, 1}) {
+          o.bfs = t == 1;  // sequential BFS keeps ordinal edges too
+          check(explore_at(*c.m, o, t), what + " threads=" + std::to_string(t));
+        }
+        // A swarm worker's permuted successor order: BFS edges record the
+        // unpermuted ordinal, DFS frames their steps.
+        Options permuted = o;
+        permuted.bitstate = true;
+        permuted.bitstate_bytes = 1u << 22;
+        for (const bool bfs : {true, false}) {
+          permuted.bfs = bfs;
+          check(detail::run_single(*c.m, permuted, 0x5eed, 0x5eed, nullptr),
+                what + (bfs ? " permuted bfs" : " permuted dfs"));
         }
       }
     }
@@ -661,6 +672,85 @@ TEST(Swarm, WorkersExploreIndependentlySeededSearches) {
   std::uint64_t sum = 0;
   for (const WorkerStats& w : swarm.stats.workers) sum += w.states_stored;
   EXPECT_EQ(swarm.stats.states_stored, sum);
+}
+
+TEST(Swarm, InterruptStopsEveryWorker) {
+  // Every swarm worker runs the sequential engine's governor, so a raised
+  // interrupt stops each of them at its first expansion.
+  SystemSpec sys = pml::parse(kChannelModel);
+  const kernel::Machine m(sys);
+  std::atomic<bool> interrupt{true};
+  for (const bool bfs : {false, true}) {
+    Options opt;
+    opt.bitstate = true;
+    opt.bitstate_bytes = 1u << 20;
+    opt.bfs = bfs;
+    opt.interrupt = &interrupt;
+    const Result r = explore_at(m, opt, 4);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.stats.truncation, TruncationReason::Interrupted)
+        << "bfs=" << bfs;
+    ASSERT_EQ(r.stats.workers.size(), 4u);
+    for (const WorkerStats& w : r.stats.workers)
+      EXPECT_LE(w.states_stored, 1024u) << "bfs=" << bfs;  // one stride
+  }
+}
+
+TEST(Swarm, PerWorkerCountsMatchTheCopyEngine) {
+  // Per-worker counts of a 4-worker swarm over the channel model, pinned
+  // from the copy-based engine that ran workers 1..3 before they moved
+  // onto the streaming one. The 8 KiB filter is small enough that hash
+  // omissions make every count depend on the exact successor order and
+  // filter seed of its worker.
+  SystemSpec sys = pml::parse(kChannelModel);
+  const kernel::Machine m(sys);
+  codegen::EngineOptions eo;
+  eo.kind = codegen::EngineKind::Bytecode;
+  const auto bytecode = codegen::make_engine(m, eo);
+  ASSERT_NE(bytecode, nullptr);
+  struct Counts {
+    std::uint64_t stored, matched, transitions;
+    int depth;
+  };
+  struct Pin {
+    bool bfs, por;
+    Counts w[4];
+  };
+  const Pin pins[] = {
+      {false, false, {{27694, 91937, 119630, 54}, {27431, 91787, 119217, 54},
+                      {27598, 92053, 119650, 54}, {27037, 90591, 117627, 54}}},
+      {false, true, {{2309, 935, 3243, 54}, {2328, 937, 3264, 54},
+                     {2326, 937, 3262, 54}, {2327, 937, 3263, 54}}},
+      {true, false, {{28275, 95320, 123594, 0}, {28362, 95578, 123939, 0},
+                     {28220, 95238, 123457, 0}, {28236, 95131, 123366, 0}}},
+      {true, true, {{2326, 937, 3262, 0}, {2326, 937, 3262, 0},
+                    {2331, 937, 3267, 0}, {2322, 936, 3257, 0}}},
+  };
+  for (const Pin& pin : pins) {
+    for (const codegen::Engine* engine :
+         {static_cast<const codegen::Engine*>(nullptr),
+          static_cast<const codegen::Engine*>(bytecode.get())}) {
+      Options o;
+      o.bitstate = true;
+      o.bitstate_bytes = 1u << 13;
+      o.bfs = pin.bfs;
+      o.por = pin.por;
+      o.engine = engine;
+      const Result r = explore_at(m, o, 4);
+      ASSERT_EQ(r.stats.workers.size(), 4u);
+      for (std::size_t w = 0; w < 4; ++w) {
+        const std::string what = std::string(pin.bfs ? "bfs" : "dfs") +
+                                 (pin.por ? " por" : "") +
+                                 (engine ? " bytecode" : " interp") +
+                                 " worker " + std::to_string(w);
+        const WorkerStats& got = r.stats.workers[w];
+        EXPECT_EQ(got.states_stored, pin.w[w].stored) << what;
+        EXPECT_EQ(got.states_matched, pin.w[w].matched) << what;
+        EXPECT_EQ(got.transitions, pin.w[w].transitions) << what;
+        EXPECT_EQ(got.max_depth_reached, pin.w[w].depth) << what;
+      }
+    }
+  }
 }
 
 // -- LTL suite ----------------------------------------------------------------

@@ -332,6 +332,11 @@ TEST(Ladder, BitstateRungSizesItsFiltersToTheMemoryBudget) {
     ASSERT_EQ(out.stages.size(), 2u) << "threads=" << threads;
     EXPECT_EQ(out.stages[0].stats.truncation,
               explore::TruncationReason::MemoryBudget);
+    // The exact store's pre-size takes at most a quarter of the budget (a
+    // 64Ki-state pre-size alone overran it after 529 states).
+    if (threads == 1) {
+      EXPECT_GT(out.stages[0].stats.states_stored, 5'000u);
+    }
     const VerifyStage& bs = out.stages[1];
     EXPECT_EQ(bs.name, threads == 1 ? "bitstate" : "swarm-bitstate");
     EXPECT_EQ(bs.stats.truncation, explore::TruncationReason::BitstateApprox)
@@ -340,6 +345,22 @@ TEST(Ladder, BitstateRungSizesItsFiltersToTheMemoryBudget) {
     EXPECT_NE(bs.note.find("capped"), std::string::npos);
     EXPECT_LE(bs.stats.store_bytes, opt.memory_budget_bytes);
   }
+}
+
+TEST(Ladder, BreadthFirstRungsHoldOnlyTheirFrontierAndTrailEdges) {
+  // An expanded BFS state keeps nothing but its 16-byte trail edge, so a
+  // budget-bound breadth-first rung is limited by its frontier, not by a
+  // copy of every state it stored (which stopped this bitstate rung at
+  // 5,053 states).
+  const model::SystemSpec sys = wide_system();
+  const kernel::Machine m(sys);
+  VerifyOptions opt;
+  opt.bfs = true;
+  opt.memory_budget_bytes = 1024 * 1024;
+  const SafetyOutcome out = check_safety(m, opt);
+  ASSERT_EQ(out.stages.size(), 2u);
+  EXPECT_EQ(out.stages[1].name, "bitstate");
+  EXPECT_GT(out.stages[1].stats.states_stored, 20'000u);
 }
 
 TEST(Ladder, BitstateRungIsSkippedWhenNoFilterFits) {

@@ -193,12 +193,6 @@ const FlagDef kFlags[] = {
      [](Args& a, const std::string& v) {
        a.cfg.memory_budget_bytes = parse_bytes(v, "--memory");
      }},
-    {"memory-mb", nullptr, "N", nullptr,
-     "deprecated alias for --memory NM (mebibytes, converted once here)",
-     [](Args& a, const std::string& v) {
-       a.cfg.memory_budget_bytes =
-           parse_u64(v, "--memory-mb") * (std::uint64_t{1} << 20);
-     }},
     {"optimize", "PNPV_OPTIMIZE", nullptr, nullptr,
      "(.arch) substitute optimized connector models",
      [](Args& a, const std::string&) { a.cfg.gen.optimize_connectors = true; }},
