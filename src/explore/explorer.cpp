@@ -62,19 +62,6 @@ using kernel::Succ;
 
 constexpr std::uint64_t kBudgetCheckStride = 1024;
 
-/// Visited-table pre-size hint: honor a caller-set max_states bound exactly,
-/// but cap the speculative up-front allocation -- the flat tables double
-/// cheaply past the cap. Under a memory budget the pre-sized table takes at
-/// most a quarter of it: a table for n keys at <= 0.7 load has fewer than
-/// 2n / 0.7 slots of 8 bytes, under 23 bytes per key.
-std::uint64_t expected_states(const Options& opt) {
-  std::uint64_t n =
-      std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16);
-  if (opt.memory_budget_bytes > 0)
-    n = std::min<std::uint64_t>(n, opt.memory_budget_bytes / 4 / 23);
-  return n;
-}
-
 std::optional<Violation> invariant_violation(const Machine& m,
                                              const Options& opt,
                                              const State& s) {
@@ -177,8 +164,10 @@ class FlatRun {
       : m_(m),
         opt_(opt),
         visited_(opt.bitstate, opt.bitstate_bytes, bitstate_seed,
-                 opt.bitstate ? 0 : expected_states(opt)),
-        compressor_(m.layout(), /*stripes=*/1),
+                 opt.bitstate ? 0 : detail::expected_states(opt)),
+        // a bitstate search compresses only its BFS queue: start small
+        compressor_(m.layout(), /*stripes=*/1,
+                    /*expected_components=*/opt.bitstate ? 64 : 1024),
         keyer_(compressor_, opt.engine),
         stop_(stop),
         perm_seed_(perm_seed) {
@@ -621,11 +610,12 @@ class FlatRun {
     return r;
   }
 
-  /// A queued BFS state, dropped once expanded. `node` indexes its trail
-  /// edge in edges_ (kept only when traces are on).
+  /// A queued BFS state, dropped once expanded: its compressed key (the
+  /// visited key in exact mode), decompressed into head_ / head_ids_ when
+  /// it is popped. `node` indexes its trail edge in edges_ (kept only when
+  /// traces are on).
   struct BfsItem {
-    State state;
-    std::vector<std::uint32_t> ids;  // per-region component ids (exact mode)
+    std::string key;
     std::uint64_t node = 0;
   };
 
@@ -635,12 +625,12 @@ class FlatRun {
 
   class BfsSink final : public kernel::SuccSink {
    public:
-    BfsSink(FlatRun& run, const BfsItem& head) : run_(run), head_(head) {}
+    BfsSink(FlatRun& run, std::uint64_t node) : run_(run), node_(node) {}
 
     bool on_successor(const State& ns, const Step& step) override {
       const std::uint32_t ordinal = *ordinal_src;
       ++count;
-      return run_.bfs_candidate(ns, step, head_, ordinal, *this);
+      return run_.bfs_candidate(ns, step, node_, ordinal, *this);
     }
 
     std::uint32_t count = 0;
@@ -653,10 +643,10 @@ class FlatRun {
 
    private:
     FlatRun& run_;
-    const BfsItem& head_;
+    const std::uint64_t node_;
   };
 
-  bool bfs_candidate(const State& ns, const Step& step, const BfsItem& head,
+  bool bfs_candidate(const State& ns, const Step& step, std::uint64_t node,
                      std::uint32_t ordinal, BfsSink& sink) {
     ++transitions_;
     if (step.assert_failed) {
@@ -666,7 +656,8 @@ class FlatRun {
       sink.violated = true;
       return false;
     }
-    if (!visited_.insert(succ_key(ns, head.ids))) {
+    const auto key = succ_key(ns, head_ids_);
+    if (!visited_.insert(key)) {
       ++matched_;
       return true;
     }
@@ -675,22 +666,41 @@ class FlatRun {
       if (ckpt_enabled()) overflow_.push_back({State(ns), 0});
       return true;
     }
-    queue_.push_back({State(ns),
-                      opt_.bitstate ? std::vector<std::uint32_t>()
-                                    : keyer_.ids(),
-                      opt_.want_trace ? edges_.push({head.node, ordinal}) : 0});
+    // Bitstate mode probes the raw encoding, but the queue still holds the
+    // compressed key. A permuted pass replays buffered successors, whose
+    // undo log is gone, so it compresses in full.
+    std::span<const std::uint8_t> queued = key;
+    if (opt_.bitstate)
+      queued = perm_seed_ != 0
+                   ? keyer_.full(ns)
+                   : keyer_.delta(ns, scratch_.undo, head_ids_.data());
+    bfs_push(queued, opt_.want_trace ? edges_.push({node, ordinal}) : 0);
     return true;
   }
 
-  /// Queues a chain start, keeping its state for trail replay.
-  void bfs_start(State s, std::vector<std::uint32_t> ids) {
+  /// Queues a chain start under its compressed `key`, keeping its state for
+  /// trail replay.
+  void bfs_start(const State& s, std::span<const std::uint8_t> key) {
     std::uint64_t node = 0;
     if (opt_.want_trace) {
       node = edges_.push(
           {kChainStart, static_cast<std::uint32_t>(starts_.size())});
       starts_.push_back(s);
     }
-    queue_.push_back({std::move(s), std::move(ids), node});
+    bfs_push(key, node);
+  }
+
+  void bfs_push(std::span<const std::uint8_t> key, std::uint64_t node) {
+    queue_.push_back(
+        {std::string(reinterpret_cast<const char*>(key.data()), key.size()),
+         node});
+    queue_heap_bytes_ += key_heap_bytes(key.size());
+  }
+
+  /// Heap bytes a queued key of `n` bytes holds beyond its BfsItem: none
+  /// when it fits the string's inline buffer.
+  static std::uint64_t key_heap_bytes(std::size_t n) {
+    return n > std::string().capacity() ? n + 1 : 0;
   }
 
   /// Trail to `node` (plus the assert step `extra` beyond it): the
@@ -715,21 +725,19 @@ class FlatRun {
       // starts, so a counterexample trail found after resume starts at a
       // checkpointed frontier state rather than the initial state.
       seed_resume();
-      for (Checkpoint::Pending& p : seeds_) {
-        keyer_.full(p.state);
-        bfs_start(std::move(p.state), keyer_.ids());
-      }
+      for (const Checkpoint::Pending& p : seeds_)
+        bfs_start(p.state, keyer_.full(p.state));
       seeds_.clear();
     } else {
-      State root = m_.initial();
-      visited_.insert(root_key(root));
-      bfs_start(std::move(root), opt_.bitstate ? std::vector<std::uint32_t>()
-                                               : keyer_.ids());
+      const State root = m_.initial();
+      const auto key = root_key(root);
+      visited_.insert(key);
+      bfs_start(root, opt_.bitstate ? keyer_.full(root) : key);
     }
 
-    // Memory held: the unexpanded queue and the trail edges. An expanded
-    // state keeps nothing but its 16-byte edge.
-    const std::uint64_t per_item_bytes = sizeof(BfsItem) + state_bytes();
+    // Memory held: the unexpanded queue's keys and the trail edges. An
+    // expanded state keeps nothing but its 16-byte edge.
+    head_ids_.resize(static_cast<std::size_t>(compressor_.n_regions()));
     BfsItem head;
     while (!queue_.empty()) {
       if (stopped()) {
@@ -740,26 +748,28 @@ class FlatRun {
         truncate(TruncationReason::Interrupted);
         break;
       }
-      const std::uint64_t held =
-          queue_.size() * per_item_bytes + edges_.bytes();
+      const std::uint64_t held = queue_.size() * sizeof(BfsItem) +
+                                 queue_heap_bytes_ + edges_.bytes();
       if (over_budget(held)) break;
       observe(held);
       maybe_checkpoint();
       head = std::move(queue_.front());
       queue_.pop_front();
-      if (auto v = invariant_violation(m_, opt_, head.state)) {
+      queue_heap_bytes_ -= key_heap_bytes(head.key.size());
+      compressor_.decompress(byte_span(head.key), head_, head_ids_.data());
+      if (auto v = invariant_violation(m_, opt_, head_)) {
         v->trace = bfs_trace(head.node, std::nullopt);
         r.violation = std::move(*v);
         return r;
       }
       // Under POR, the proviso-free ample choice.
-      BfsSink sink(*this, head);
+      BfsSink sink(*this, head.node);
       if (perm_seed_ != 0) {
         sink.ordinal_src = &permuted_.ordinal;
-        if (visit_expansion(m_, opt_, head.state, scratch_, permuted_) >= 0)
+        if (visit_expansion(m_, opt_, head_, scratch_, permuted_) >= 0)
           ++por_ample_;
-        permuted_.replay(perm_seed_, head.state, sink);
-      } else if (visit_expansion(m_, opt_, head.state, scratch_, sink) >= 0) {
+        permuted_.replay(perm_seed_, head_, sink);
+      } else if (visit_expansion(m_, opt_, head_, scratch_, sink) >= 0) {
         ++por_ample_;
       }
       if (sink.violated) {
@@ -768,7 +778,7 @@ class FlatRun {
         return r;
       }
       if (sink.count == 0) {
-        if (auto v = terminal_violation(m_, opt_, head.state)) {
+        if (auto v = terminal_violation(m_, opt_, head_)) {
           v->trace = bfs_trace(head.node, std::nullopt);
           r.violation = std::move(*v);
           return r;
@@ -804,9 +814,11 @@ class FlatRun {
     return keyer_.delta(s, scratch_.undo, parent_ids.data());
   }
 
+  /// The visited store, plus the compressor wherever it holds components:
+  /// in exact mode, and in a bitstate BFS, whose queue holds compressed keys.
   std::uint64_t store_bytes() const {
     return visited_.approx_bytes() +
-           (opt_.bitstate ? 0 : compressor_.approx_bytes());
+           (opt_.bitstate && !opt_.bfs ? 0 : compressor_.approx_bytes());
   }
 
   trace::Trace stack_trace(const Step* extra_step,
@@ -920,7 +932,8 @@ class FlatRun {
           },
           [&](const StateSink& sink) {
             if (opt_.bfs) {
-              for (const BfsItem& it : queue_) sink(it.state, 0);
+              for (const BfsItem& it : queue_)
+                sink(compressor_.decompress(byte_span(it.key)), 0);
             } else {
               for (std::size_t i = 0; i < stack_.size(); ++i)
                 sink(stack_[i].state, static_cast<std::uint32_t>(i));
@@ -1030,6 +1043,9 @@ class FlatRun {
   kernel::SuccScratch scratch_;
   std::vector<Frame> stack_;
   std::deque<BfsItem> queue_;  // BFS frontier: the checkpoint cut's tail
+  std::uint64_t queue_heap_bytes_ = 0;  // queued keys' out-of-line bytes
+  State head_;                          // the expanding BFS state ...
+  std::vector<std::uint32_t> head_ids_;  // ... and its per-region ids
   EdgeLog edges_;              // BFS trail edges (traces on)
   std::vector<State> starts_;  // BFS chain-start states (traces on)
   std::unordered_set<std::string> on_stack_;
@@ -1071,6 +1087,14 @@ int resolve_threads(int requested) {
 }
 
 namespace detail {
+
+std::uint64_t expected_states(const Options& opt) {
+  std::uint64_t n =
+      std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16);
+  if (opt.memory_budget_bytes > 0)
+    n = std::min<std::uint64_t>(n, opt.memory_budget_bytes / 4 / 23);
+  return n;
+}
 
 Result run_single(const kernel::Machine& m, const Options& opt,
                   std::uint64_t perm_seed, std::uint64_t bitstate_seed,

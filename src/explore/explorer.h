@@ -209,6 +209,14 @@ int resolve_threads(int requested);
 
 namespace detail {
 
+/// Visited-table pre-size for an exact search, shared by the sequential
+/// and parallel engines: honors a caller-set max_states bound exactly but
+/// caps the speculative up-front allocation -- the tables double cheaply
+/// past the cap. Under a memory budget the pre-sized table takes at most a
+/// quarter of it: a table for n keys at <= 0.7 load has fewer than
+/// 2n / 0.7 slots of 8 bytes, under 23 bytes per key.
+std::uint64_t expected_states(const Options& opt);
+
 /// The sequential engine, also run by every swarm worker: `perm_seed != 0`
 /// permutes every state's successor order with a deterministic per-state
 /// shuffle (bitstate mode only), `bitstate_seed` perturbs the Bloom hash

@@ -16,6 +16,7 @@
 // slab -- callers cannot tell where a record landed.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -44,8 +45,15 @@ using support::HugeZeroBuf;
 /// hundred KiB of keys does not pin a whole huge page per arena.
 class KeyArena {
  public:
-  KeyArena()
-      : dir_(std::make_unique_for_overwrite<std::uint8_t*[]>(kMaxSlabs)) {}
+  /// `first_slab` (a power of two, at most 64 KiB) lets an arena that is
+  /// one of many -- a visited-set shard -- start smaller: its first 64 KiB
+  /// come in slabs doubling from `first_slab`. Past 64 KiB every arena
+  /// grows alike (each new slab 64 KiB larger than all before it together:
+  /// 128 KiB, 256 KiB, ... up to the 2 MiB span), so a large arena holds
+  /// the same bytes whatever it started with.
+  explicit KeyArena(std::size_t first_slab = kFirstSlab)
+      : dir_(std::make_unique_for_overwrite<std::uint8_t*[]>(kMaxSlabs)),
+        first_slab_(std::min(first_slab, kFirstSlab)) {}
 
   /// Appends `key` (2-byte length prefix + bytes) and returns its offset.
   std::uint32_t append(std::span<const std::uint8_t> key) {
@@ -123,7 +131,9 @@ class KeyArena {
     PNP_CHECK(n_slabs_ < kMaxSlabs,
               "visited-key arena exceeds 4 GiB (raise the memory budget "
               "or switch to bitstate mode)");
-    std::size_t bytes = n_slabs_ < 5 ? kFirstSlab << n_slabs_ : kSlabSpan;
+    std::size_t bytes = slab_total_ < kFirstSlab
+                            ? std::max(first_slab_, slab_total_)
+                            : std::min(slab_total_ + kFirstSlab, kSlabSpan);
     while (bytes < need) bytes *= 2;  // a key near 64 KiB in an early slab
     std::uint8_t* slab;
     if (spill_) {
@@ -136,13 +146,16 @@ class KeyArena {
       resident_.store(resident_bytes() + bytes, std::memory_order_relaxed);
     }
     dir_[n_slabs_++] = slab;
+    slab_total_ += bytes;
     cap_ = bytes;
     used_ = 0;
   }
 
   std::unique_ptr<std::uint8_t*[]> dir_;  // kMaxSlabs entries, n_slabs_ set
+  const std::size_t first_slab_;
   // Writer-side state on its own line: lock-free readers only load dir_.
   alignas(64) std::size_t n_slabs_ = 0;
+  std::size_t slab_total_ = 0;  // bytes in all slabs, heap and spilled
   std::size_t cap_ = 0;   // bytes in the current slab
   std::size_t used_ = 0;  // bytes appended to the current slab
   std::vector<HugeZeroBuf> heap_;        // owns the heap slabs

@@ -10,8 +10,11 @@
 // keys and new components take a shard or stripe lock. Successors are
 // streamed from per-worker mutate-and-revert scratch and keyed by delta
 // compression against their parent's region ids (SuccKeyer, the same path
-// the sequential engine takes). A queued state is just its compressed key
-// -- its region ids and atomic pid -- decompressed when it is popped.
+// the sequential engine takes). A whole expansion's keys are staged before
+// any is looked up, so the store's cache misses overlap instead of queuing
+// one behind the other (see settle()). A queued state is just its
+// compressed key -- its region ids and atomic pid -- decompressed when it
+// is popped.
 // With traces on, every stored state keeps one 16-byte trail edge (parent
 // id, successor ordinal) in its worker's EdgeLog; after a violation the
 // trail is replayed from its chain's start state (explore/trail.h), so it
@@ -33,12 +36,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 
 #include "codegen/engine.h"
 #include "explore/checkpoint.h"
@@ -47,6 +50,7 @@
 #include "explore/trail.h"
 #include "explore/visited.h"
 #include "kernel/compress.h"
+#include "support/crew.h"
 #include "support/hash.h"
 #include "support/panic.h"
 #include "support/spill.h"
@@ -61,11 +65,6 @@ using kernel::State;
 using kernel::Step;
 
 constexpr std::uint64_t kNoGid = ~std::uint64_t{0};
-
-/// Mirrors the sequential engine's visited-table pre-size policy.
-std::uint64_t expected_states(const Options& opt) {
-  return std::min<std::uint64_t>(opt.max_states, std::uint64_t{1} << 16);
-}
 
 class ParallelRun {
  public:
@@ -96,11 +95,7 @@ class ParallelRun {
       seed_resume();
     else
       seed_root();
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(n_));
-    for (int w = 0; w < n_; ++w)
-      threads.emplace_back([this, w] { work(w); });
-    for (std::thread& t : threads) t.join();
+    run_crew(n_, stop_, [this](int w) { work(w); });
     return finish();
   }
 
@@ -115,6 +110,14 @@ class ParallelRun {
     std::string key;
     std::uint64_t gid = kNoGid;
     std::uint32_t depth = 0;
+  };
+
+  /// One staged successor: its key is staged_keys[at, at + len).
+  struct Staged {
+    std::uint64_t hash;
+    std::uint32_t at;
+    std::uint32_t len;
+    std::uint32_t ordinal;
   };
 
   struct alignas(64) Worker {
@@ -138,6 +141,10 @@ class ParallelRun {
     // Stored-but-never-queued states (max_states/max_depth), kept so a
     // final checkpoint's frontier is exactly where this run stopped.
     std::vector<Item> overflow;
+    // The expansion in progress: its successors' keys, back to back in
+    // staged_keys, awaiting settle() (see par_candidate).
+    std::vector<std::uint8_t> staged_keys;
+    std::vector<Staged> staged;
   };
 
   /// First violation wins; everything needed to rebuild the trail after the
@@ -328,6 +335,22 @@ class ParallelRun {
   void work(int w) {
     Worker& me = workers_[static_cast<std::size_t>(w)];
     const auto t0 = std::chrono::steady_clock::now();
+    // Retire from the checkpoint barrier on every exit, a thrown ModelError
+    // included, so a coordinator never waits for a worker that is gone. A
+    // throwing worker also stops the run before the wakeup, so a worker
+    // parked behind a checkpoint it was coordinating sees the stop.
+    struct Retire {
+      ParallelRun& run;
+      ~Retire() {
+        {
+          std::lock_guard<std::mutex> lock(run.park_mu_);
+          --run.active_;
+          if (std::uncaught_exceptions() > 0)
+            run.stop_.store(true, std::memory_order_relaxed);
+        }
+        run.park_cv_.notify_all();
+      }
+    } retire{*this};
     Item item;
     while (!stop_.load(std::memory_order_relaxed)) {
       ckpt_point(me);
@@ -336,13 +359,6 @@ class ParallelRun {
       expand(w, me, item);
       observe(me);
     }
-    // Retire from the checkpoint barrier so a coordinator never waits for a
-    // worker that already exited.
-    {
-      std::lock_guard<std::mutex> lock(park_mu_);
-      --active_;
-    }
-    park_cv_.notify_all();
     me.stats.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -607,13 +623,13 @@ class ParallelRun {
     stop_.store(true, std::memory_order_release);
   }
 
-  /// Streams one popped item's successors: dedup against the shared store,
-  /// push fresh states, flag violations. Aborts the pass on a violation or
-  /// when the swarm-wide stop flag goes up.
+  /// Streams one popped item's successors into the worker's staged batch
+  /// and flags assertion violations. Aborts the pass on a violation or when
+  /// the run-wide stop flag goes up.
   class ParSink final : public kernel::SuccSink {
    public:
-    ParSink(ParallelRun& run, int w, Worker& me, const Item& item)
-        : run_(run), w_(w), me_(me), item_(item) {}
+    ParSink(ParallelRun& run, Worker& me, const Item& item)
+        : run_(run), me_(me), item_(item) {}
 
     bool on_successor(const State& ns, const Step& step) override {
       if (run_.stop_.load(std::memory_order_relaxed)) {
@@ -621,7 +637,7 @@ class ParallelRun {
         return false;
       }
       ++me_.stats.transitions;
-      return run_.par_candidate(ns, step, produced++, w_, me_, item_, *this);
+      return run_.par_candidate(ns, step, produced++, me_, item_, *this);
     }
 
     std::uint32_t produced = 0;
@@ -629,13 +645,18 @@ class ParallelRun {
 
    private:
     ParallelRun& run_;
-    const int w_;
     Worker& me_;
     const Item& item_;
   };
 
+  /// Keys one successor and stages its visited probe; settle() resolves
+  /// the whole expansion's probes once generation is done. The key must be
+  /// built now (delta COLLAPSE reads the undo log, live only during this
+  /// callback); the store is not touched yet beyond a prefetch of the
+  /// key's slot, so the slot misses of all the expansion's successors
+  /// overlap with generating the rest of them.
   bool par_candidate(const State& ns, const Step& step, std::uint32_t ordinal,
-                     int w, Worker& me, const Item& item, ParSink& sink) {
+                     Worker& me, const Item& item, ParSink& sink) {
     if (step.assert_failed) {
       Violation v;
       v.kind = ViolationKind::AssertFailed;
@@ -645,35 +666,57 @@ class ParallelRun {
       return false;
     }
     const auto key = me.keyer->delta(ns, me.scratch.undo, me.ids.data());
-    if (!visited_.insert(key, ShardedVisitedSet::hash_key(key))) {
-      ++me.stats.states_matched;
-      return true;
-    }
-    ++me.stats.states_stored;
-    count_fresh(me);
-    if (stored_reaches(opt_.max_states)) {
-      truncate(TruncationReason::MaxStates);
-      // stored, but not expanded: same as the sequential engine; remembered
-      // so the final checkpoint's frontier is exactly where this run stopped
-      if (ckpt_enabled())
-        me.overflow.push_back({key_string(key), kNoGid, item.depth + 1});
-      return true;
-    }
-    if (item.depth + 1 > static_cast<std::uint32_t>(opt_.max_depth)) {
-      truncate(TruncationReason::MaxDepth);
-      if (ckpt_enabled())
-        me.overflow.push_back({key_string(key), kNoGid, item.depth + 1});
-      return true;
-    }
-    Item next{key_string(key), kNoGid, item.depth + 1};
-    if (opt_.want_trace) {
-      const std::uint64_t index = me.edges.push({item.gid, ordinal});
-      next.gid = make_gid(w, index);
-      if (index % EdgeLog::kChunkEdges == 0)
-        me.edge_bytes.store(me.edges.bytes(), std::memory_order_relaxed);
-    }
-    push(me, std::move(next));
+    const std::uint64_t h = ShardedVisitedSet::hash_key(key);
+    visited_.prefetch(h);
+    me.staged.push_back({h, static_cast<std::uint32_t>(me.staged_keys.size()),
+                         static_cast<std::uint32_t>(key.size()), ordinal});
+    me.staged_keys.insert(me.staged_keys.end(), key.begin(), key.end());
     return true;
+  }
+
+  /// Resolves the staged probes of one expansion, emptying the batch. The
+  /// first pass walks each probe cluster (its slot line prefetched while
+  /// the successors were generated) and prefetches the key record of every
+  /// fingerprint match; the second inserts in stream order, with the same
+  /// outcome, counts and trail edges as inserting each successor as it was
+  /// generated.
+  void settle(int w, Worker& me, const Item& item) {
+    for (const Staged& st : me.staged) visited_.prefetch_record(st.hash);
+    for (const Staged& st : me.staged) {
+      const std::span<const std::uint8_t> key(me.staged_keys.data() + st.at,
+                                              st.len);
+      if (!visited_.insert(key, st.hash)) {
+        ++me.stats.states_matched;
+        continue;
+      }
+      ++me.stats.states_stored;
+      count_fresh(me);
+      if (stored_reaches(opt_.max_states)) {
+        truncate(TruncationReason::MaxStates);
+        // stored, but not expanded: same as the sequential engine;
+        // remembered so the final checkpoint's frontier is exactly where
+        // this run stopped
+        if (ckpt_enabled())
+          me.overflow.push_back({key_string(key), kNoGid, item.depth + 1});
+        continue;
+      }
+      if (item.depth + 1 > static_cast<std::uint32_t>(opt_.max_depth)) {
+        truncate(TruncationReason::MaxDepth);
+        if (ckpt_enabled())
+          me.overflow.push_back({key_string(key), kNoGid, item.depth + 1});
+        continue;
+      }
+      Item next{key_string(key), kNoGid, item.depth + 1};
+      if (opt_.want_trace) {
+        const std::uint64_t index = me.edges.push({item.gid, st.ordinal});
+        next.gid = make_gid(w, index);
+        if (index % EdgeLog::kChunkEdges == 0)
+          me.edge_bytes.store(me.edges.bytes(), std::memory_order_relaxed);
+      }
+      push(me, std::move(next));
+    }
+    me.staged.clear();
+    me.staged_keys.clear();
   }
 
   void expand(int w, Worker& me, Item& item) {
@@ -693,12 +736,15 @@ class ParallelRun {
       record_violation(std::move(*v), item.gid, std::nullopt);
       return;
     }
-    ParSink sink(*this, w, me, item);
+    ParSink sink(*this, me, item);
     // Under POR, the BFS-style ample choice (no cycle proviso): a pure
     // function of the state, so the reduced graph -- and the reached-state
     // count -- does not depend on thread count or interleaving, and a trail
     // replay regenerates the same successor stream.
     if (visit_expansion(m_, opt_, s, me.scratch, sink) >= 0) ++me.por_ample;
+    // An aborted pass settles too: the successors it staged were generated
+    // and count as explored, as if each had been inserted on the spot.
+    settle(w, me, item);
     // Zero successors means a terminal state -- unless the pass was cut
     // short by a stop flag, in which case the count is not trustworthy.
     if (sink.produced == 0 && !sink.aborted) {
@@ -850,24 +896,18 @@ Result run_swarm(const kernel::Machine& m, const Options& opt, int threads) {
   const auto t0 = std::chrono::steady_clock::now();
   std::atomic<bool> stop{false};
   std::vector<Result> results(static_cast<std::size_t>(threads));
-  {
-    std::vector<std::thread> ts;
-    ts.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      ts.emplace_back([&, w] {
-        Options o = opt;
-        o.threads = 1;
-        // Worker 0 keeps the canonical order and hash functions, so the
-        // sequential bitstate verdict is always among the merged ones.
-        const std::uint64_t seed =
-            w == 0 ? 0 : avalanche64(0x5eed5eed5eedull + static_cast<std::uint64_t>(w));
-        Result r = run_single(m, o, seed, seed, &stop);
-        if (r.violation) stop.store(true, std::memory_order_release);
-        results[static_cast<std::size_t>(w)] = std::move(r);
-      });
-    }
-    for (std::thread& t : ts) t.join();
-  }
+  run_crew(threads, stop, [&](int w) {
+    Options o = opt;
+    o.threads = 1;
+    // Worker 0 keeps the canonical order and hash functions, so the
+    // sequential bitstate verdict is always among the merged ones.
+    const std::uint64_t seed =
+        w == 0 ? 0
+               : avalanche64(0x5eed5eed5eedull + static_cast<std::uint64_t>(w));
+    Result r = run_single(m, o, seed, seed, &stop);
+    if (r.violation) stop.store(true, std::memory_order_release);
+    results[static_cast<std::size_t>(w)] = std::move(r);
+  });
 
   // Merge: a violation found by any worker is a real counterexample (the
   // first one encountered wins); otherwise the verdict is the union of N

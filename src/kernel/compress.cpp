@@ -1,5 +1,6 @@
 #include "kernel/compress.h"
 
+#include <bit>
 #include <cstring>
 
 #include "support/hash.h"
@@ -41,18 +42,22 @@ std::uint32_t read_varint(std::span<const std::uint8_t> key, std::size_t& at) {
 
 StateCompressor::StateCompressor(const Layout& lay, int stripes,
                                  std::size_t expected_components)
-    : n_stripes_(stripes < 1 ? 1 : stripes),
+    : stripe_bits_(std::countr_zero(
+          static_cast<unsigned>(stripes < 1 ? 1 : stripes))),
       concurrent_(stripes > 1),
       state_size_(lay.size()) {
+  PNP_CHECK(stripes < 1 || std::has_single_bit(static_cast<unsigned>(stripes)),
+            "compressor stripe count must be a power of two");
+  const int n_stripes = 1 << stripe_bits_;
   const auto regions = lay.regions();
   regions_.reserve(regions.size());
   const std::size_t per_stripe =
-      expected_components / static_cast<std::size_t>(n_stripes_) + 1;
+      expected_components / static_cast<std::size_t>(n_stripes) + 1;
   for (const auto& [begin, width] : regions) {
     Region r;
     r.begin = begin;
     r.width = width;
-    for (int i = 0; i < n_stripes_; ++i) {
+    for (int i = 0; i < n_stripes; ++i) {
       r.stripes.push_back(std::make_unique<Stripe>(per_stripe));
       Stripe& st = *r.stripes.back();
       st.store.init(width);
@@ -80,14 +85,14 @@ std::uint32_t StateCompressor::intern_hashed(Region& r, const Value* vals,
   // High bits pick the stripe, low bits probe the stripe-local table, so the
   // two uses stay independent.
   const std::uint32_t si = static_cast<std::uint32_t>(
-      (h >> 48) % static_cast<std::uint64_t>(n_stripes_));
-  const std::uint32_t n = static_cast<std::uint32_t>(n_stripes_);
+      (h >> 48) & ((std::uint64_t{1} << stripe_bits_) - 1));
   Stripe& st = *r.stripes[si];
   const auto eq = [&](std::uint32_t local) {
     return std::memcmp(st.store.at(local), vals, bytes) == 0;
   };
   const std::uint32_t hit = st.index.find(h, eq);
-  if (hit != support::ReadMostlyTable::kMiss) return hit * n + si;
+  if (hit != support::ReadMostlyTable::kMiss)
+    return (hit << stripe_bits_) | si;
 
   std::unique_lock<std::mutex> lock(st.mu, std::defer_lock);
   if (concurrent_) lock.lock();
@@ -101,7 +106,7 @@ std::uint32_t StateCompressor::intern_hashed(Region& r, const Value* vals,
                    std::memory_order_relaxed);
     st.spill_bytes.store(st.store.spill_bytes(), std::memory_order_relaxed);
   }
-  return local * n + si;
+  return (local << stripe_bits_) | si;
 }
 
 void StateCompressor::compress(const State& s, std::vector<std::uint8_t>& out) {
@@ -188,8 +193,8 @@ void StateCompressor::decompress(std::span<const std::uint8_t> key, State& s,
   for (std::size_t k = 0; k < regions_.size(); ++k) {
     const Region& r = regions_[k];
     const std::uint32_t id = read_varint(key, at);
-    const std::uint32_t local = id / static_cast<std::uint32_t>(n_stripes_);
-    const Stripe& st = *r.stripes[id % static_cast<std::uint32_t>(n_stripes_)];
+    const std::uint32_t local = id >> stripe_bits_;
+    const Stripe& st = *r.stripes[id & ((1u << stripe_bits_) - 1)];
     PNP_CHECK(local < st.store.size(), "decompress: component id out of range");
     std::memcpy(s.mem.data() + r.begin, st.store.at(local),
                 static_cast<std::size_t>(r.width) * sizeof(Value));

@@ -104,10 +104,10 @@ class ValueArena {
 
 class StateCompressor {
  public:
-  /// `stripes` > 1 stripes every component table so compress() and
-  /// decompress() may be called concurrently from that many (or more)
-  /// workers: a component already interned is found without a lock, and
-  /// only a new one takes its stripe's lock. 1 elides all locking for
+  /// `stripes` > 1 (a power of two) stripes every component table so
+  /// compress() and decompress() may be called concurrently from that many
+  /// (or more) workers: a component already interned is found without a
+  /// lock, and only a new one takes its stripe's lock. 1 elides all locking for
   /// single-threaded searches. `expected_components` pre-sizes
   /// each region's table (components are shared across states, so even
   /// million-state runs typically intern a few thousand per region).
@@ -190,8 +190,9 @@ class StateCompressor {
   // match, so the truncation to 32 bits can cost a rare extra compare but
   // never a wrong id), with the component values appended to a
   // width-strided arena. A component's global id is local_index *
-  // n_stripes + stripe, which keeps ids dense and injective without
-  // cross-stripe coordination.
+  // n_stripes + stripe -- a shift and an or, the stripe count being a power
+  // of two -- which keeps ids dense and injective without cross-stripe
+  // coordination.
   struct Stripe {
     explicit Stripe(std::size_t expected) : index(expected) {}
     support::ReadMostlyTable index;
@@ -211,7 +212,7 @@ class StateCompressor {
 
   std::vector<Region> regions_;
   std::vector<int> region_of_slot_;
-  int n_stripes_;
+  int stripe_bits_;  // log2 of the stripe count
   bool concurrent_;
   int state_size_;
 };

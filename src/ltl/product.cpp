@@ -3,11 +3,11 @@
 #include <atomic>
 #include <chrono>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "support/crew.h"
 #include "support/hash.h"
 #include "support/panic.h"
 #include "support/shuffle.h"
@@ -461,26 +461,21 @@ LtlResult check_ltl(const kernel::Machine& m, FormulaPool& pool,
     std::atomic<int> winner{-1};
     std::vector<std::optional<LtlResult>> results(
         static_cast<std::size_t>(threads));
-    std::vector<std::thread> crew;
-    crew.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) {
-      crew.emplace_back([&, w] {
-        const std::uint64_t seed =
-            w == 0 ? 0
-                   : avalanche64(0x17e1'0ba5'e11eull +
-                                 static_cast<std::uint64_t>(w));
-        ProductSearch search(m, ctx, ba, opt, engine.get(), seed, &stop);
-        LtlResult wr = search.run();
-        if (search.aborted()) return;
-        int expected = -1;
-        if (winner.compare_exchange_strong(expected, w)) {
-          search.publish_counters();  // only the authoritative search counts
-          results[static_cast<std::size_t>(w)] = std::move(wr);
-          stop.store(true, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (std::thread& t : crew) t.join();
+    run_crew(threads, stop, [&](int w) {
+      const std::uint64_t seed =
+          w == 0 ? 0
+                 : avalanche64(0x17e1'0ba5'e11eull +
+                               static_cast<std::uint64_t>(w));
+      ProductSearch search(m, ctx, ba, opt, engine.get(), seed, &stop);
+      LtlResult wr = search.run();
+      if (search.aborted()) return;
+      int expected = -1;
+      if (winner.compare_exchange_strong(expected, w)) {
+        search.publish_counters();  // only the authoritative search counts
+        results[static_cast<std::size_t>(w)] = std::move(wr);
+        stop.store(true, std::memory_order_relaxed);
+      }
+    });
     const int w = winner.load();
     PNP_CHECK(w >= 0, "check_ltl: no racing worker finished");
     r = std::move(*results[static_cast<std::size_t>(w)]);

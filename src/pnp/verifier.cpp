@@ -8,9 +8,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 #include "explore/checkpoint.h"
+#include "support/crew.h"
 #include "support/hash.h"
 #include "support/panic.h"
 
@@ -960,20 +960,17 @@ ResilienceReport check_resilience(const Architecture& arch,
   rep.gen_stats = stats_since(gen.total_stats(), gen_before);
 
   std::atomic<std::size_t> next{0};
-  auto drain = [&] {
-    for (;;) {
+  std::atomic<bool> stop{false};  // a variant threw: start no more
+  const int n_workers = static_cast<int>(
+      std::min(static_cast<std::size_t>(jobs), variants.size()));
+  run_crew(n_workers, stop, [&](int) {
+    while (!stop.load(std::memory_order_acquire)) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= variants.size()) return;
-      variants[i].outcome = verify_owned(variants[i].model, opts,
-                                         variants[i].label);
+      variants[i].outcome =
+          verify_owned(variants[i].model, opts, variants[i].label);
     }
-  };
-  std::vector<std::thread> crew;
-  const std::size_t n_workers =
-      std::min(static_cast<std::size_t>(jobs), variants.size());
-  crew.reserve(n_workers);
-  for (std::size_t t = 0; t < n_workers; ++t) crew.emplace_back(drain);
-  for (std::thread& t : crew) t.join();
+  });
 
   std::size_t idx = 0;
   if (opts.include_baseline)

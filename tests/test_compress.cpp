@@ -11,8 +11,13 @@
 // the historical frame-by-frame DFS) and count-identical at 2 and 8.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <barrier>
+#include <filesystem>
 #include <map>
+#include <numeric>
 #include <random>
 #include <set>
 #include <string>
@@ -302,6 +307,88 @@ TEST(ConcurrentStore, ShardedSetInsertsEachKeyOnceAcrossGrowth) {
     EXPECT_FALSE(set.insert(key, hash_of(k, key)));
   }
   EXPECT_GT(set.approx_bytes(), 0u);
+}
+
+TEST(ConcurrentStore, StagedProbesMatchPlainInsert) {
+  // The parallel engine's staged probe: a batch of keys is hashed and its
+  // slots prefetched, then every fingerprint match's record is prefetched,
+  // then the batch is inserted in order. Every thread races the SAME key
+  // set (lengths 1..40) in its own order and batch size through a
+  // default-constructed set, so the shards grow many times under the hints.
+  // Halfway through, once every thread has run half its keys, the arenas
+  // switch to disk-backed slabs; the keys no thread has reached yet land
+  // there.
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint8_t>> all;  // distinct keys
+  {
+    std::set<std::vector<std::uint8_t>> distinct;
+    for (std::uint32_t k = 0; k < 30'000; ++k) {
+      std::vector<std::uint8_t> key(1 + k % 40);
+      for (std::size_t j = 0; j < key.size(); ++j)
+        key[j] = static_cast<std::uint8_t>((k >> (8 * (j % 3))) ^ (j * 13));
+      if (distinct.insert(key).second) all.push_back(std::move(key));
+    }
+  }
+  const auto kKeys = static_cast<std::uint32_t>(all.size());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("pnp_staged_probes_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    support::SpillPool pool(dir.string());
+    explore::ShardedVisitedSet set;
+    std::barrier halfway(kThreads, [&]() noexcept { set.attach_spill(&pool); });
+    std::vector<std::vector<std::uint32_t>> won(kThreads);
+    std::vector<std::thread> ts;
+    for (int t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        std::mt19937 rng(static_cast<unsigned>(t) + 7);
+        std::vector<std::uint32_t> order(kKeys);
+        std::iota(order.begin(), order.end(), 0u);
+        std::shuffle(order.begin(), order.end(), rng);
+        const std::size_t batch = 1 + static_cast<std::size_t>(t) * 3;
+        std::vector<std::uint64_t> hashes;
+        const auto run = [&](std::size_t from, std::size_t to) {
+          for (std::size_t at = from; at < to; at += batch) {
+            const std::size_t end = std::min(to, at + batch);
+            hashes.clear();
+            for (std::size_t i = at; i < end; ++i) {
+              hashes.push_back(
+                  explore::ShardedVisitedSet::hash_key(all[order[i]]));
+              set.prefetch(hashes.back());
+            }
+            for (const std::uint64_t h : hashes) set.prefetch_record(h);
+            for (std::size_t i = at; i < end; ++i)
+              if (set.insert(all[order[i]], hashes[i - at]))
+                won[static_cast<std::size_t>(t)].push_back(order[i]);
+          }
+        };
+        run(0, kKeys / 2);
+        halfway.arrive_and_wait();
+        run(kKeys / 2, kKeys);
+      });
+    }
+    for (std::thread& th : ts) th.join();
+
+    std::vector<int> wins(kKeys, 0);
+    for (const auto& w : won)
+      for (const std::uint32_t k : w) ++wins[k];
+    for (std::uint32_t k = 0; k < kKeys; ++k)
+      ASSERT_EQ(wins[k], 1) << "key " << k;
+    EXPECT_EQ(set.size(), kKeys);
+    std::map<std::string, int> seen;
+    std::uint64_t enumerated = 0;
+    set.for_each_key([&](std::span<const std::uint8_t> key) {
+      ++seen[std::string(key.begin(), key.end())];
+      ++enumerated;
+    });
+    EXPECT_EQ(enumerated, set.size());
+    EXPECT_EQ(seen.size(), kKeys);
+    for (const std::vector<std::uint8_t>& key : all)
+      EXPECT_EQ(seen[std::string(key.begin(), key.end())], 1);
+    EXPECT_GT(set.spill_bytes(), 0u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ConcurrentStore, StripedCompressorRoundTripsFromManyThreads) {

@@ -848,5 +848,205 @@ TEST(ParallelResilience, FaultSuiteStressUnderFourJobs) {
   }
 }
 
+// -- worker errors ------------------------------------------------------------
+//
+// A ModelError raised inside any search worker (here: a division by zero
+// the model reaches after a few steps) reaches the caller as the same
+// ModelError at every thread count, instead of ending the process.
+
+constexpr const char* kDivideByZero = R"(
+byte x;
+byte y;
+
+active proctype Counter() {
+  do
+  :: x < 5 -> x++
+  :: x >= 5 -> break
+  od
+}
+
+active proctype Divider() {
+  do
+  :: y = 10 / (x - 3)
+  od
+}
+)";
+
+constexpr const char* kDivideByZeroMessage =
+    "division by zero in model expression";
+
+/// The message of the ModelError `f` throws; empty when it throws none.
+template <class F>
+std::string model_error_of(F&& f) {
+  try {
+    f();
+  } catch (const ModelError& e) {
+    return e.what();
+  }
+  return {};
+}
+
+TEST(ParallelExact, WorkerModelErrorIsRethrownAtEveryThreadCount) {
+  const SystemSpec sys = pml::parse(kDivideByZero);
+  const kernel::Machine m(sys);
+  for (const bool bfs : {false, true}) {
+    for (const int t : {1, 2, 4}) {
+      Options opt;
+      opt.bfs = bfs;
+      EXPECT_EQ(model_error_of([&] { explore_at(m, opt, t); }),
+                kDivideByZeroMessage)
+          << (bfs ? "bfs" : "dfs") << " threads=" << t;
+    }
+  }
+}
+
+TEST(Swarm, WorkerModelErrorIsRethrownAtEveryThreadCount) {
+  const SystemSpec sys = pml::parse(kDivideByZero);
+  const kernel::Machine m(sys);
+  for (const int t : {1, 2, 4}) {
+    Options opt;
+    opt.bitstate = true;
+    EXPECT_EQ(model_error_of([&] { explore_at(m, opt, t); }),
+              kDivideByZeroMessage)
+        << "threads=" << t;
+  }
+  // A worker that rejects its options up front: swarm workers run the
+  // sequential engine, which refuses to checkpoint a bitstate search.
+  const ChannelModel cm;
+  for (const int t : {1, 2}) {
+    Options opt;
+    opt.bitstate = true;
+    opt.checkpoint_path = "unused.ckpt";
+    const std::string msg = model_error_of([&] { explore_at(cm.m, opt, t); });
+    EXPECT_NE(msg.find("checkpointing requires exact mode"), std::string::npos)
+        << "threads=" << t << ": " << msg;
+  }
+}
+
+TEST(ParallelLtl, WorkerModelErrorIsRethrownAtEveryThreadCount) {
+  SystemSpec sys = pml::parse(kDivideByZero);
+  ltl::PropertyContext props;
+  props.add("p", pml::parse_global_expr(sys, "x < 10"));
+  const kernel::Machine m(sys);
+  for (const int t : {1, 2, 4}) {
+    ltl::CheckOptions opt;
+    opt.threads = t;
+    EXPECT_EQ(model_error_of([&] { ltl::check_ltl(m, props, "G p", opt); }),
+              kDivideByZeroMessage)
+        << "threads=" << t;
+  }
+}
+
+TEST(ParallelResilience, VariantModelErrorIsRethrownAtEveryJobCount) {
+  // The receiver divides by the count it has not yet raised.
+  const Architecture arch = adl::parse_architecture(
+      "architecture counter {\n"
+      "  global received = 0;\n"
+      "  component Sender {\n"
+      "    behavior { out_data!7,0,0,0,0,0; out_sig?SEND_SUCC,_; }\n"
+      "  }\n"
+      "  component Receiver {\n"
+      "    behavior {\n"
+      "      byte v;\n"
+      "      do\n"
+      "      :: in_data!0,0,0,0,0,0; in_sig?RECV_SUCC,_;\n"
+      "         in_data?v,_,_,_,_,_; received = 1 / received\n"
+      "      od\n"
+      "    }\n"
+      "  }\n"
+      "  connector Link : fifo(2) {\n"
+      "    sender Sender.out via asyn_blocking;\n"
+      "    receiver Receiver.in via blocking;\n"
+      "  }\n"
+      "}\n");
+  const std::vector<FaultSpec> suite = default_fault_suite(arch);
+  for (const int jobs : {1, 2, 4}) {
+    ResilienceOptions opts;
+    opts.invariant_text = "received <= 1";
+    opts.jobs = jobs;
+    EXPECT_EQ(model_error_of([&] { check_resilience(arch, suite, opts); }),
+              kDivideByZeroMessage)
+        << "jobs=" << jobs;
+  }
+}
+
+// -- memory budget ------------------------------------------------------------
+
+constexpr const char* kRelayMesh = R"(
+chan a1 = [3] of { byte };
+chan a2 = [3] of { byte };
+chan b1 = [3] of { byte };
+chan b2 = [3] of { byte };
+byte tally;
+
+active proctype SourceA() {
+  byte i = 0;
+  do
+  :: i < 5 -> a1!i; i++
+  :: i >= 5 -> break
+  od
+}
+
+active proctype RelayA() {
+  byte v;
+  end: do
+  :: a1?v -> a2!v
+  od
+}
+
+active proctype SinkA() {
+  byte v;
+  byte expect = 0;
+  do
+  :: expect < 5 -> a2?v; assert(v == expect); expect++; tally++
+  :: expect >= 5 -> break
+  od
+}
+
+active proctype SourceB() {
+  byte i = 0;
+  do
+  :: i < 5 -> b1!i; i++
+  :: i >= 5 -> break
+  od
+}
+
+active proctype RelayB() {
+  byte v;
+  end: do
+  :: b1?v -> b2!v
+  od
+}
+
+active proctype SinkB() {
+  byte v;
+  byte expect = 0;
+  do
+  :: expect < 5 -> b2?v; assert(v == expect); expect++; tally++
+  :: expect >= 5 -> break
+  od
+}
+)";
+
+TEST(ParallelExact, MemoryBudgetedSearchStoresAsMuchAsTheSequentialOne) {
+  // Under a budget both engines pre-size their store from it, and an empty
+  // sharded store is small: the parallel search spends the budget on
+  // states, not on up-front tables and slabs.
+  SystemSpec sys = pml::parse(kRelayMesh);
+  Options opt;
+  opt.invariant = pml::parse_global_expr(sys, "tally <= 10");
+  opt.memory_budget_bytes = std::uint64_t{4} << 20;
+  const kernel::Machine m(sys);
+  const Result seq = explore_at(m, opt, 1);
+  ASSERT_EQ(seq.stats.truncation, TruncationReason::MemoryBudget);
+  for (const int t : {2, 4}) {
+    const Result r = explore_at(m, opt, t);
+    EXPECT_EQ(r.stats.truncation, TruncationReason::MemoryBudget);
+    EXPECT_GE(r.stats.states_stored * 2, seq.stats.states_stored)
+        << "threads=" << t << ": " << r.stats.states_stored << " vs "
+        << seq.stats.states_stored;
+  }
+}
+
 }  // namespace
 }  // namespace pnp::explore
