@@ -612,8 +612,9 @@ class FlatRun {
 
   /// A queued BFS state, dropped once expanded: its compressed key (the
   /// visited key in exact mode), decompressed into head_ / head_ids_ when
-  /// it is popped. `node` indexes its trail edge in edges_ (kept only when
-  /// traces are on).
+  /// it is popped, or, in a bitstate search without a memory budget, its
+  /// raw encoding (see compressed_queue()). `node` indexes its trail edge
+  /// in edges_ (kept only when traces are on).
   struct BfsItem {
     std::string key;
     std::uint64_t node = 0;
@@ -666,11 +667,11 @@ class FlatRun {
       if (ckpt_enabled()) overflow_.push_back({State(ns), 0});
       return true;
     }
-    // Bitstate mode probes the raw encoding, but the queue still holds the
-    // compressed key. A permuted pass replays buffered successors, whose
+    // Bitstate mode probes the raw encoding; a budgeted search compresses
+    // it for the queue. A permuted pass replays buffered successors, whose
     // undo log is gone, so it compresses in full.
     std::span<const std::uint8_t> queued = key;
-    if (opt_.bitstate)
+    if (opt_.bitstate && compressed_queue())
       queued = perm_seed_ != 0
                    ? keyer_.full(ns)
                    : keyer_.delta(ns, scratch_.undo, head_ids_.data());
@@ -678,7 +679,7 @@ class FlatRun {
     return true;
   }
 
-  /// Queues a chain start under its compressed `key`, keeping its state for
+  /// Queues a chain start under its queue `key`, keeping its state for
   /// trail replay.
   void bfs_start(const State& s, std::span<const std::uint8_t> key) {
     std::uint64_t node = 0;
@@ -688,6 +689,15 @@ class FlatRun {
       starts_.push_back(s);
     }
     bfs_push(key, node);
+  }
+
+  /// Whether the BFS queue holds compressed keys: always in exact mode,
+  /// where the queued key is the visited key, and in a bitstate search
+  /// under a memory budget, which its frontier bounds. An unbudgeted
+  /// bitstate search queues the raw encoding it probed instead, and pays
+  /// no interning for its queue.
+  bool compressed_queue() const {
+    return !opt_.bitstate || opt_.memory_budget_bytes > 0;
   }
 
   void bfs_push(std::span<const std::uint8_t> key, std::uint64_t node) {
@@ -732,7 +742,8 @@ class FlatRun {
       const State root = m_.initial();
       const auto key = root_key(root);
       visited_.insert(key);
-      bfs_start(root, opt_.bitstate ? keyer_.full(root) : key);
+      bfs_start(root, opt_.bitstate && compressed_queue() ? keyer_.full(root)
+                                                          : key);
     }
 
     // Memory held: the unexpanded queue's keys and the trail edges. An
@@ -756,7 +767,10 @@ class FlatRun {
       head = std::move(queue_.front());
       queue_.pop_front();
       queue_heap_bytes_ -= key_heap_bytes(head.key.size());
-      compressor_.decompress(byte_span(head.key), head_, head_ids_.data());
+      if (compressed_queue())
+        compressor_.decompress(byte_span(head.key), head_, head_ids_.data());
+      else
+        kernel::decode_key_into(byte_span(head.key), head_);
       if (auto v = invariant_violation(m_, opt_, head_)) {
         v->trace = bfs_trace(head.node, std::nullopt);
         r.violation = std::move(*v);
@@ -815,10 +829,12 @@ class FlatRun {
   }
 
   /// The visited store, plus the compressor wherever it holds components:
-  /// in exact mode, and in a bitstate BFS, whose queue holds compressed keys.
+  /// in exact mode, and in a BFS whose queue holds compressed keys.
   std::uint64_t store_bytes() const {
     return visited_.approx_bytes() +
-           (opt_.bitstate && !opt_.bfs ? 0 : compressor_.approx_bytes());
+           (opt_.bitstate && !(opt_.bfs && compressed_queue())
+                ? 0
+                : compressor_.approx_bytes());
   }
 
   trace::Trace stack_trace(const Step* extra_step,

@@ -41,19 +41,14 @@ using support::HugeZeroBuf;
 /// the slab directory is a fixed array: at() and equals() read it without
 /// a lock while a writer appends, so the parallel visited set can confirm
 /// a fingerprint hit lock-free. Slabs are sized to the keys they hold:
-/// they double from 64 KiB up to the 2 MiB span, so a store holding a few
-/// hundred KiB of keys does not pin a whole huge page per arena.
+/// they grow from 4 KiB, each as large as all before it, up to the 2 MiB
+/// span, so a store holding a few KiB of keys -- one of the parallel set's
+/// 64 shards, early on -- does not pin a 64 KiB slab, let alone a huge
+/// page.
 class KeyArena {
  public:
-  /// `first_slab` (a power of two, at most 64 KiB) lets an arena that is
-  /// one of many -- a visited-set shard -- start smaller: its first 64 KiB
-  /// come in slabs doubling from `first_slab`. Past 64 KiB every arena
-  /// grows alike (each new slab 64 KiB larger than all before it together:
-  /// 128 KiB, 256 KiB, ... up to the 2 MiB span), so a large arena holds
-  /// the same bytes whatever it started with.
-  explicit KeyArena(std::size_t first_slab = kFirstSlab)
-      : dir_(std::make_unique_for_overwrite<std::uint8_t*[]>(kMaxSlabs)),
-        first_slab_(std::min(first_slab, kFirstSlab)) {}
+  KeyArena()
+      : dir_(std::make_unique_for_overwrite<std::uint8_t*[]>(kMaxSlabs)) {}
 
   /// Appends `key` (2-byte length prefix + bytes) and returns its offset.
   std::uint32_t append(std::span<const std::uint8_t> key) {
@@ -120,7 +115,7 @@ class KeyArena {
 
  private:
   static constexpr std::size_t kSlabSpan = HugeZeroBuf::kHuge;
-  static constexpr std::size_t kFirstSlab = std::size_t{64} << 10;
+  static constexpr std::size_t kFirstSlab = std::size_t{4} << 10;
   static constexpr std::size_t kMaxSlabs = (std::uint64_t{1} << 32) / kSlabSpan;
 
   const std::uint8_t* record(std::uint32_t off) const {
@@ -131,9 +126,9 @@ class KeyArena {
     PNP_CHECK(n_slabs_ < kMaxSlabs,
               "visited-key arena exceeds 4 GiB (raise the memory budget "
               "or switch to bitstate mode)");
-    std::size_t bytes = slab_total_ < kFirstSlab
-                            ? std::max(first_slab_, slab_total_)
-                            : std::min(slab_total_ + kFirstSlab, kSlabSpan);
+    // Each slab as large as all before it together, so at most about half
+    // of what the arena holds is an unused tail.
+    std::size_t bytes = std::clamp(slab_total_, kFirstSlab, kSlabSpan);
     while (bytes < need) bytes *= 2;  // a key near 64 KiB in an early slab
     std::uint8_t* slab;
     if (spill_) {
@@ -152,7 +147,6 @@ class KeyArena {
   }
 
   std::unique_ptr<std::uint8_t*[]> dir_;  // kMaxSlabs entries, n_slabs_ set
-  const std::size_t first_slab_;
   // Writer-side state on its own line: lock-free readers only load dir_.
   alignas(64) std::size_t n_slabs_ = 0;
   std::size_t slab_total_ = 0;  // bytes in all slabs, heap and spilled

@@ -674,14 +674,11 @@ class ParallelRun {
     return true;
   }
 
-  /// Resolves the staged probes of one expansion, emptying the batch. The
-  /// first pass walks each probe cluster (its slot line prefetched while
-  /// the successors were generated) and prefetches the key record of every
-  /// fingerprint match; the second inserts in stream order, with the same
-  /// outcome, counts and trail edges as inserting each successor as it was
-  /// generated.
+  /// Resolves the staged probes of one expansion, emptying the batch: the
+  /// probe slots were prefetched while the successors were generated, and
+  /// the inserts run in stream order, with the same outcome, counts and
+  /// trail edges as inserting each successor as it was generated.
   void settle(int w, Worker& me, const Item& item) {
-    for (const Staged& st : me.staged) visited_.prefetch_record(st.hash);
     for (const Staged& st : me.staged) {
       const std::span<const std::uint8_t> key(me.staged_keys.data() + st.at,
                                               st.len);

@@ -130,14 +130,12 @@ class VisitedSet {
 /// only a miss takes the shard lock to re-probe, append and publish.
 /// Growth is self-contained, so any number of threads may insert into a
 /// default-constructed set. `expected` pre-sizes every shard for
-/// expected/64 keys; shard arenas start at 4 KiB, so an empty set holds
-/// a few hundred KiB, not 64 first slabs of 64 KiB.
+/// expected/64 keys; shard arenas start at 4 KiB (see KeyArena), so a
+/// small set does not hold 64 first slabs of 64 KiB.
 ///
-/// A caller that can batch its probes overlaps their cache misses (a
-/// duplicate costs two dependent ones, the slot and then the key record):
-/// prefetch(h) when the key is built, prefetch_record(h) for the batch
-/// once the slots have arrived, insert() last. The hints never change an
-/// answer.
+/// A caller that can batch its probes overlaps their slot misses:
+/// prefetch(h) when the key is built, insert() once the whole batch is
+/// built. The hint never changes an answer.
 class ShardedVisitedSet {
  public:
   explicit ShardedVisitedSet(std::uint64_t expected = 0) {
@@ -167,15 +165,6 @@ class ShardedVisitedSet {
   /// Hints the cache that `h`'s first probe slot is about to be read.
   void prefetch(std::uint64_t h) const {
     shards_[shard_of(h)]->index.prefetch(h);
-  }
-
-  /// Hints the cache that the key record of every fingerprint match in
-  /// `h`'s probe cluster is about to be read. Walks the cluster, so it pays
-  /// off once prefetch(h) had time to land.
-  void prefetch_record(std::uint64_t h) const {
-    const Shard& sh = *shards_[shard_of(h)];
-    sh.index.for_each_candidate(
-        h, [&](std::uint32_t off) { sh.arena.prefetch(off); });
   }
 
   /// Stored keys: the sum of the shard counts, so fresh inserts share no
@@ -222,7 +211,6 @@ class ShardedVisitedSet {
 
  private:
   static constexpr std::size_t kShards = 64;
-  static constexpr std::size_t kShardFirstSlab = std::size_t{4} << 10;
 
   static std::size_t shard_of(std::uint64_t h) {
     return static_cast<std::size_t>(h >> 58);  // top 6 bits
@@ -230,8 +218,7 @@ class ShardedVisitedSet {
 
   // One allocation per shard keeps neighboring shards' lines apart.
   struct Shard {
-    explicit Shard(std::uint64_t expected)
-        : index(expected), arena(kShardFirstSlab) {}
+    explicit Shard(std::uint64_t expected) : index(expected) {}
     support::ReadMostlyTable index;
     KeyArena arena;
     std::mutex mu;  // writers only

@@ -141,4 +141,25 @@ void encode_key_into(const State& s, std::string& key) {
   key.push_back(static_cast<char>(s.atomic_pid & 0xff));
 }
 
+void decode_key_into(std::span<const std::uint8_t> key, State& out) {
+  PNP_CHECK(!key.empty(), "empty state encoding");
+  out.mem.clear();
+  std::size_t i = 0;
+  while (i + 1 < key.size()) {
+    if (key[i] != 0xFE) {
+      out.mem.push_back(static_cast<Value>(key[i]) - 126);
+      ++i;
+      continue;
+    }
+    PNP_CHECK(i + 5 < key.size(), "truncated state encoding");
+    const std::uint32_t u = static_cast<std::uint32_t>(key[i + 1]) |
+                            (static_cast<std::uint32_t>(key[i + 2]) << 8) |
+                            (static_cast<std::uint32_t>(key[i + 3]) << 16) |
+                            (static_cast<std::uint32_t>(key[i + 4]) << 24);
+    out.mem.push_back(static_cast<Value>(u));
+    i += 5;
+  }
+  out.atomic_pid = key.back() == 0xFF ? -1 : key.back();
+}
+
 }  // namespace pnp::kernel

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -152,5 +153,9 @@ std::string encode_key(const State& s);
 /// Allocation-free variant for hot paths: replaces `out` with the canonical
 /// encoding, reusing its capacity.
 void encode_key_into(const State& s, std::string& out);
+
+/// Inverse of encode_key_into: replaces `out` with the state `key` encodes,
+/// reusing its capacity.
+void decode_key_into(std::span<const std::uint8_t> key, State& out);
 
 }  // namespace pnp::kernel

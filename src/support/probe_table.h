@@ -167,23 +167,6 @@ class ReadMostlyTable {
     __builtin_prefetch(&t->slots[static_cast<std::uint32_t>(h) & t->mask]);
   }
 
-  /// Calls `f(ref)` for every record in `h`'s probe cluster whose
-  /// fingerprint matches -- the records a find() would compare -- without
-  /// comparing them. Takes no lock; like find(), it may miss a record
-  /// inserted concurrently. Lets a caller prefetch those records for a
-  /// later find() or insert().
-  template <class F>
-  void for_each_candidate(std::uint64_t h, F&& f) const {
-    const Table* t = cur_.load(std::memory_order_acquire);
-    const std::uint32_t fp = static_cast<std::uint32_t>(h);
-    for (std::size_t i = fp & t->mask;; i = (i + 1) & t->mask) {
-      const std::uint64_t w = load(t->slots[i], std::memory_order_acquire);
-      if (w == 0) return;
-      if (static_cast<std::uint32_t>(w >> 32) == fp)
-        f(static_cast<std::uint32_t>(w) - 1);
-    }
-  }
-
   /// Find-or-insert; the caller holds the writer lock. Returns the record's
   /// reference and whether `make()` just appended it. `make()` returns the
   /// new record's reference (below kMiss).

@@ -85,6 +85,7 @@ std::vector<State> reachable_states(const Machine& m, std::size_t limit) {
 void expect_round_trip(StateCompressor& c, const std::vector<State>& states) {
   std::map<std::vector<std::uint8_t>, std::string> by_key;
   std::vector<std::uint8_t> key;
+  State raw;
   for (const State& s : states) {
     c.compress(s, key);
     const State back = c.decompress(key);
@@ -92,6 +93,10 @@ void expect_round_trip(StateCompressor& c, const std::vector<State>& states) {
     EXPECT_EQ(back.atomic_pid, s.atomic_pid);
     // injectivity: one compressed key never names two distinct states
     const std::string enc = kernel::encode_key(s);
+    // ... and the raw encoding decodes back to the state, too
+    kernel::decode_key_into(
+        {reinterpret_cast<const std::uint8_t*>(enc.data()), enc.size()}, raw);
+    EXPECT_EQ(raw, s);
     auto [it, fresh] = by_key.emplace(key, enc);
     if (!fresh) {
       EXPECT_EQ(it->second, enc);
@@ -311,10 +316,10 @@ TEST(ConcurrentStore, ShardedSetInsertsEachKeyOnceAcrossGrowth) {
 
 TEST(ConcurrentStore, StagedProbesMatchPlainInsert) {
   // The parallel engine's staged probe: a batch of keys is hashed and its
-  // slots prefetched, then every fingerprint match's record is prefetched,
-  // then the batch is inserted in order. Every thread races the SAME key
-  // set (lengths 1..40) in its own order and batch size through a
-  // default-constructed set, so the shards grow many times under the hints.
+  // slots prefetched, then the batch is inserted in order. Every thread
+  // races the SAME key set (lengths 1..40) in its own order and batch size
+  // through a default-constructed set, so the shards grow many times under
+  // the hints.
   // Halfway through, once every thread has run half its keys, the arenas
   // switch to disk-backed slabs; the keys no thread has reached yet land
   // there.
@@ -357,7 +362,6 @@ TEST(ConcurrentStore, StagedProbesMatchPlainInsert) {
                   explore::ShardedVisitedSet::hash_key(all[order[i]]));
               set.prefetch(hashes.back());
             }
-            for (const std::uint64_t h : hashes) set.prefetch_record(h);
             for (std::size_t i = at; i < end; ++i)
               if (set.insert(all[order[i]], hashes[i - at]))
                 won[static_cast<std::size_t>(t)].push_back(order[i]);

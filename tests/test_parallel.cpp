@@ -19,6 +19,7 @@
 #include "kernel/machine.h"
 #include "ltl/product.h"
 #include "model/builder.h"
+#include "model_file.h"
 #include "obs/obs.h"
 #include "pml/parser.h"
 #include "pnp/pnp.h"
@@ -854,23 +855,9 @@ TEST(ParallelResilience, FaultSuiteStressUnderFourJobs) {
 // the model reaches after a few steps) reaches the caller as the same
 // ModelError at every thread count, instead of ending the process.
 
-constexpr const char* kDivideByZero = R"(
-byte x;
-byte y;
-
-active proctype Counter() {
-  do
-  :: x < 5 -> x++
-  :: x >= 5 -> break
-  od
+SystemSpec divide_by_zero() {
+  return pml::parse(read_repo_file("tests/models/divide_by_zero.pml"));
 }
-
-active proctype Divider() {
-  do
-  :: y = 10 / (x - 3)
-  od
-}
-)";
 
 constexpr const char* kDivideByZeroMessage =
     "division by zero in model expression";
@@ -887,7 +874,7 @@ std::string model_error_of(F&& f) {
 }
 
 TEST(ParallelExact, WorkerModelErrorIsRethrownAtEveryThreadCount) {
-  const SystemSpec sys = pml::parse(kDivideByZero);
+  const SystemSpec sys = divide_by_zero();
   const kernel::Machine m(sys);
   for (const bool bfs : {false, true}) {
     for (const int t : {1, 2, 4}) {
@@ -901,7 +888,7 @@ TEST(ParallelExact, WorkerModelErrorIsRethrownAtEveryThreadCount) {
 }
 
 TEST(Swarm, WorkerModelErrorIsRethrownAtEveryThreadCount) {
-  const SystemSpec sys = pml::parse(kDivideByZero);
+  const SystemSpec sys = divide_by_zero();
   const kernel::Machine m(sys);
   for (const int t : {1, 2, 4}) {
     Options opt;
@@ -924,7 +911,7 @@ TEST(Swarm, WorkerModelErrorIsRethrownAtEveryThreadCount) {
 }
 
 TEST(ParallelLtl, WorkerModelErrorIsRethrownAtEveryThreadCount) {
-  SystemSpec sys = pml::parse(kDivideByZero);
+  SystemSpec sys = divide_by_zero();
   ltl::PropertyContext props;
   props.add("p", pml::parse_global_expr(sys, "x < 10"));
   const kernel::Machine m(sys);
@@ -972,67 +959,12 @@ TEST(ParallelResilience, VariantModelErrorIsRethrownAtEveryJobCount) {
 
 // -- memory budget ------------------------------------------------------------
 
-constexpr const char* kRelayMesh = R"(
-chan a1 = [3] of { byte };
-chan a2 = [3] of { byte };
-chan b1 = [3] of { byte };
-chan b2 = [3] of { byte };
-byte tally;
-
-active proctype SourceA() {
-  byte i = 0;
-  do
-  :: i < 5 -> a1!i; i++
-  :: i >= 5 -> break
-  od
-}
-
-active proctype RelayA() {
-  byte v;
-  end: do
-  :: a1?v -> a2!v
-  od
-}
-
-active proctype SinkA() {
-  byte v;
-  byte expect = 0;
-  do
-  :: expect < 5 -> a2?v; assert(v == expect); expect++; tally++
-  :: expect >= 5 -> break
-  od
-}
-
-active proctype SourceB() {
-  byte i = 0;
-  do
-  :: i < 5 -> b1!i; i++
-  :: i >= 5 -> break
-  od
-}
-
-active proctype RelayB() {
-  byte v;
-  end: do
-  :: b1?v -> b2!v
-  od
-}
-
-active proctype SinkB() {
-  byte v;
-  byte expect = 0;
-  do
-  :: expect < 5 -> b2?v; assert(v == expect); expect++; tally++
-  :: expect >= 5 -> break
-  od
-}
-)";
-
 TEST(ParallelExact, MemoryBudgetedSearchStoresAsMuchAsTheSequentialOne) {
   // Under a budget both engines pre-size their store from it, and an empty
   // sharded store is small: the parallel search spends the budget on
   // states, not on up-front tables and slabs.
-  SystemSpec sys = pml::parse(kRelayMesh);
+  SystemSpec sys =
+      pml::parse(read_repo_file("examples/models/relay_mesh.pml"));
   Options opt;
   opt.invariant = pml::parse_global_expr(sys, "tally <= 10");
   opt.memory_budget_bytes = std::uint64_t{4} << 20;

@@ -281,25 +281,13 @@ TEST(PmlRun, GlobalExprParserSupportsChannelQueries) {
 
 // -- the shipped example models parse and verify -----------------------------------
 
-#include <fstream>
-#include <sstream>
+#include "model_file.h"
 
 namespace pnp::pml {
 namespace {
 
 std::string read_model(const std::string& name) {
-  for (const char* prefix : {"examples/models/", "../examples/models/",
-                             "../../examples/models/"}) {
-    std::ifstream in(prefix + name);
-    if (in) {
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      return ss.str();
-    }
-  }
-  ADD_FAILURE() << "cannot locate example model " << name
-                << " (run ctest from the build or repo root)";
-  return "";
+  return read_repo_file("examples/models/" + name);
 }
 
 TEST(PmlModels, PaperBlocksCompositionVerifies) {
